@@ -71,19 +71,20 @@ class PlanBuilder:
     def adopt_rank_join_names(self, old_plan, new_plan):
         """Memoise ``old_plan``'s rank-join names for ``new_plan``.
 
-        A mid-flight re-plan re-enumerates and gets *new* plan nodes;
-        building them would draw fresh names -- and fresh
-        ``_score_<name>`` output columns, making post-migration rows
-        differ from a serial run's.  Walking both plan trees in
+        Covers rank joins, any-k nodes and score-merge groups.  A
+        mid-flight re-plan re-enumerates and gets *new* plan nodes, as
+        does a guarded run that copies a shared plan; building them
+        would draw fresh names -- and fresh ``_score_<name>`` output
+        columns, making post-migration rows differ from a serial
+        run's.  Walking both plan trees in
         lockstep and copying the memoised names over keeps the rebuilt
         tree's operator names and score columns identical wherever the
         shapes match; where they diverge, the walk just stops (the
         migration's compatibility check rejects such plans anyway).
         """
-        if ((isinstance(old_plan, RankJoinPlan)
-             and isinstance(new_plan, RankJoinPlan))
-                or (isinstance(old_plan, AnyKPlan)
-                    and isinstance(new_plan, AnyKPlan))):
+        if (type(old_plan) is type(new_plan)
+                and isinstance(old_plan,
+                               (RankJoinPlan, AnyKPlan, ScoreMergePlan))):
             memo = self._names.get(id(old_plan))
             if memo is not None:
                 self._names[id(new_plan)] = (new_plan, memo[1])

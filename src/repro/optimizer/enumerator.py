@@ -17,6 +17,7 @@ Rank-aware extensions:
 from itertools import combinations
 
 from repro.common.errors import OptimizerError
+from repro.optimizer.enumeration_memo import ACTIVE, enumeration_memo
 from repro.optimizer.interesting import interesting_orders_for_tables
 from repro.optimizer.memo import Memo
 from repro.optimizer.plans import (
@@ -26,6 +27,7 @@ from repro.optimizer.plans import (
     JoinPlan,
     RankJoinPlan,
     SortPlan,
+    copy_plan,
 )
 from repro.optimizer.properties import OrderProperty
 
@@ -117,6 +119,20 @@ class OptimizationResult:
         #: callers tell whether a result predates a learned update.
         self.stats_epoch = stats_epoch
 
+    def private_copy(self):
+        """This result over a node-for-node copy of ``best_plan``.
+
+        Plan nodes do not change once ``optimize`` returns, with one
+        exception: guarded recovery re-estimates a rank join's
+        selectivity in place.  A run handed a shared result (a plan-cache
+        hit, an admission decision) re-estimates on this copy instead.
+        The MEMO stays shared; recovery only reads it.
+        """
+        return OptimizationResult(
+            self.query, self.memo, copy_plan(self.best_plan),
+            self.required_order, stats_epoch=self.stats_epoch,
+        )
+
     def explain(self):
         """Readable summary of the chosen plan."""
         k = self.query.k if self.query.is_ranking else None
@@ -159,8 +175,17 @@ class Optimizer:
         :class:`~repro.optimizer.memo.Memo`), and the resulting MEMO
         size is recorded as ``memo_entries`` / ``memo_order_classes``
         gauges.
+
+        The call runs under its own
+        :mod:`~repro.optimizer.enumeration_memo`, so each plan cost,
+        depth estimate, order key and interesting-order set is computed
+        once; nothing of it outlives the call.
         """
-        memo = self.build_memo(query, telemetry=telemetry)
+        with enumeration_memo():
+            return self._optimize(query, telemetry)
+
+    def _optimize(self, query, telemetry):
+        memo = self._build_memo(query, telemetry)
         if telemetry is not None:
             telemetry.metrics.gauge(
                 "memo_entries", "enumerated table subsets",
@@ -221,6 +246,10 @@ class Optimizer:
 
     def build_memo(self, query, telemetry=None):
         """Run the DP enumeration and return the populated MEMO."""
+        with enumeration_memo():
+            return self._build_memo(query, telemetry)
+
+    def _build_memo(self, query, telemetry):
         k_min = query.k if query.is_ranking else 1
         memo = Memo(k_min=k_min, telemetry=telemetry)
         tables = sorted(query.tables)
@@ -248,9 +277,16 @@ class Optimizer:
     # Base tables
     # ------------------------------------------------------------------
     def _interesting_at(self, query, tables):
-        return interesting_orders_for_tables(
-            query, tables, rank_aware=self.config.rank_aware,
-        )
+        tables = frozenset(tables)
+        memo = ACTIVE.get()
+        orders = None if memo is None else memo.interesting.get(tables)
+        if orders is None:
+            orders = interesting_orders_for_tables(
+                query, tables, rank_aware=self.config.rank_aware,
+            )
+            if memo is not None:
+                memo.interesting[tables] = orders
+        return orders
 
     def _effective_order(self, query, tables, order):
         """Project a plan's order onto the retained interesting set.
@@ -344,12 +380,14 @@ class Optimizer:
             if not predicates:
                 continue
             selectivity = self._join_selectivity(predicates)
+            ranked = self._ranking_split(query, left_tables, right_tables)
             left_plans = memo.entry(left_tables)
             right_plans = memo.entry(right_tables)
             for left in left_plans:
                 for right in right_plans:
                     self._join_choices(
                         memo, query, left, right, predicates, selectivity,
+                        ranked,
                     )
         if (self.config.rank_aware and self.config.enable_anyk
                 and query.is_ranking):
@@ -387,8 +425,26 @@ class Optimizer:
             )
         return selectivity
 
+    def _ranking_split(self, query, left_tables, right_tables):
+        """Ranking restrictions a rank-join over this split would use.
+
+        Returns ``(S_L, S_R, S_L + S_R)`` -- they depend only on the
+        split, not on which plans fill it -- or ``None`` when no
+        rank-join is eligible: the optimizer is not rank-aware, the
+        query does not rank, or a side has no score contribution
+        (``f = f(f1(SL), f2(SR), f3(SO))`` needs non-empty ``SL`` and
+        ``SR``).
+        """
+        if not (self.config.rank_aware and query.is_ranking):
+            return None
+        left_expr = query.ranking.restrict(left_tables)
+        right_expr = query.ranking.restrict(right_tables)
+        if left_expr is None or right_expr is None:
+            return None
+        return left_expr, right_expr, left_expr.combine(right_expr)
+
     def _join_choices(self, memo, query, left, right, predicates,
-                      selectivity):
+                      selectivity, ranked):
         for method in self.config.join_methods:
             order = OrderProperty.none()
             if method in ("nl", "inl"):
@@ -401,9 +457,9 @@ class Optimizer:
                 self.model, method, left, right, predicates, selectivity,
                 order=order,
             ))
-        if self.config.rank_aware and query.is_ranking:
+        if ranked is not None:
             self._rank_join_choices(
-                memo, query, left, right, predicates, selectivity,
+                memo, query, left, right, predicates, selectivity, ranked,
             )
 
     def _inl_eligible(self, right):
@@ -454,15 +510,8 @@ class Optimizer:
         return profile
 
     def _rank_join_choices(self, memo, query, left, right, predicates,
-                           selectivity):
-        ranking = query.ranking
-        left_expr = ranking.restrict(left.tables)
-        right_expr = ranking.restrict(right.tables)
-        if left_expr is None or right_expr is None:
-            # Rank-join needs score contributions on both sides
-            # (f = f(f1(SL), f2(SR), f3(SO)) with non-empty SL, SR).
-            return
-        combined = left_expr.combine(right_expr)
+                           selectivity, ranked):
+        left_expr, right_expr, combined = ranked
         left_sorted = left.order.covers(OrderProperty(left_expr))
         right_sorted = right.order.covers(OrderProperty(right_expr))
         profiles = (

@@ -14,6 +14,7 @@ for that equivalence so the optimizer can match plan properties.
 import math
 
 from repro.common.errors import OptimizerError
+from repro.optimizer.enumeration_memo import ACTIVE
 
 
 def _table_of(qualified_name):
@@ -103,8 +104,19 @@ class ScoreExpression:
 
         Orders are invariant under positive scaling, so weights are
         normalised by the largest weight.  Keys are hashable tuples of
-        ``(column, rounded_weight)`` pairs.
+        ``(column, rounded_weight)`` pairs.  Computed once per
+        expression inside an ``optimize`` call (see
+        :mod:`repro.optimizer.enumeration_memo`).
         """
+        memo = ACTIVE.get()
+        if memo is None:
+            return self._order_key()
+        entry = memo.order_keys.get(id(self))
+        if entry is None:
+            entry = memo.order_keys[id(self)] = (self, self._order_key())
+        return entry[1]
+
+    def _order_key(self):
         top = max(self._weights.values())
         return tuple(
             (col, round(w / top, 12))

@@ -15,9 +15,11 @@ the plan will be asked for.
   those depths -- this recursion *is* Algorithm ``Propagate``.
 """
 
+import copy
 import math
 
 from repro.common.errors import OptimizerError
+from repro.optimizer.enumeration_memo import ACTIVE
 from repro.optimizer.properties import OrderProperty
 
 #: Traditional join methods known to the enumerator.
@@ -41,7 +43,22 @@ class Plan:
 
     # ------------------------------------------------------------------
     def cost(self, k):
-        """Estimated cost of pulling ``min(k, cardinality)`` rows."""
+        """Estimated cost of pulling ``min(k, cardinality)`` rows.
+
+        Inside an ``optimize`` call each ``(node, k)`` is computed once
+        (see :mod:`repro.optimizer.enumeration_memo`).
+        """
+        memo = ACTIVE.get()
+        if memo is None:
+            return self._cost(k)
+        key = (self, k)
+        value = memo.costs.get(key)
+        if value is None:
+            value = memo.costs[key] = self._cost(k)
+        return value
+
+    def _cost(self, k):
+        """Compute :meth:`cost` (subclasses implement this)."""
         raise NotImplementedError
 
     def total_cost(self):
@@ -113,7 +130,7 @@ class AccessPlan(Plan):
         # Access cost scales with how deep the consumer reads.
         return True
 
-    def cost(self, k):
+    def _cost(self, k):
         depth = min(max(0.0, k), self.cardinality)
         if self.index_name is None:
             return self.model.table_scan_cost(depth)
@@ -158,7 +175,7 @@ class FilterPlan(Plan):
     def k_dependent(self):
         return self.children[0].k_dependent
 
-    def cost(self, k):
+    def _cost(self, k):
         child = self.children[0]
         needed = min(child.cardinality,
                      max(1.0, k) / self.selectivity)
@@ -187,7 +204,7 @@ class SortPlan(Plan):
     def k_dependent(self):
         return False
 
-    def cost(self, k):
+    def _cost(self, k):
         child = self.children[0]
         return (child.cost(child.cardinality)
                 + self.model.external_sort_cost(child.cardinality))
@@ -236,7 +253,7 @@ class JoinPlan(Plan):
     def k_dependent(self):
         return False
 
-    def cost(self, k):
+    def _cost(self, k):
         left, right = self.children
         left_cost = left.cost(left.cardinality)
         right_cost = right.cost(right.cardinality)
@@ -337,14 +354,28 @@ class RankJoinPlan(Plan):
         return math.exp(sum(logs) / len(logs))
 
     def depth_estimate(self, k):
-        """Estimated :class:`~repro.estimation.depths.DepthEstimate`."""
+        """Estimated :class:`~repro.estimation.depths.DepthEstimate`.
+
+        Memoised per ``(node, k)`` inside an ``optimize`` call, like
+        :meth:`cost`.
+        """
+        k = min(max(1.0, k), max(1.0, self.cardinality))
+        memo = ACTIVE.get()
+        if memo is None:
+            return self._depth_estimate(k)
+        key = (self, k)
+        estimate = memo.depths.get(key)
+        if estimate is None:
+            estimate = memo.depths[key] = self._depth_estimate(k)
+        return estimate
+
+    def _depth_estimate(self, k):
         from repro.estimation.depths import (
             top_k_depths_average_streams,
             top_k_depths_streams,
         )
 
         left, right = self.children
-        k = min(max(1.0, k), max(1.0, self.cardinality))
         n = self._mean_leaf_cardinality()
         l = left.leaf_count
         r = right.leaf_count
@@ -375,7 +406,7 @@ class RankJoinPlan(Plan):
             max_left=left.cardinality, max_right=right.cardinality,
         )
 
-    def cost(self, k):
+    def _cost(self, k):
         left, right = self.children
         estimate = self.depth_estimate(k)
         d_left, d_right = estimate.d_left, estimate.d_right
@@ -492,7 +523,7 @@ class AnyKPlan(Plan):
     def k_dependent(self):
         return True
 
-    def cost(self, k):
+    def _cost(self, k):
         input_cost = sum(child.cost(child.cardinality)
                          for child in self.children)
         tuples = sum(child.cardinality for child in self.children)
@@ -651,7 +682,7 @@ class ScoreMergePlan(Plan):
         return ("pool" if self.pool_cost(k) < self.inline_cost(k)
                 else "inline")
 
-    def cost(self, k):
+    def _cost(self, k):
         if self.mode == "inline":
             return self.inline_cost(k)
         if self.mode == "pool" and self.pool_supported:
@@ -680,3 +711,15 @@ class ScoreMergePlan(Plan):
             self.mode, self.shard_count,
             self.combined_expression.description(),
         )
+
+
+def copy_plan(plan):
+    """Return a node-for-node copy of the plan tree rooted at ``plan``.
+
+    Node attributes are shared (shallow), so the copy is cheap; what it
+    buys is distinct node objects whose ``selectivity`` can be
+    re-estimated without touching the original tree.
+    """
+    clone = copy.copy(plan)
+    clone.children = tuple(copy_plan(child) for child in plan.children)
+    return clone

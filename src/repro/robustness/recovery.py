@@ -340,6 +340,7 @@ class GuardedExecutor(Executor):
         policy = policy or self.policy
         if budget is None:
             budget = self.budget
+        shared = result is not None
         if result is None:
             if telemetry is not None:
                 with telemetry.tracer.span("optimize"):
@@ -353,6 +354,15 @@ class GuardedExecutor(Executor):
             result = forced_parallel_result(
                 self.catalog, self.optimizer.model, result, parallel,
             )
+        if shared:
+            # Recovery re-estimates selectivities on the plan nodes it
+            # runs; a handed-in result is shared with the plan cache, so
+            # the run (and any suspension of it) owns a copy.  Names the
+            # builder already drew for the shared plan carry over.
+            owned = result.private_copy()
+            self.builder.adopt_rank_join_names(result.best_plan,
+                                               owned.best_plan)
+            result = owned
         metrics = telemetry.metrics if telemetry is not None else None
         events = telemetry.events if telemetry is not None else None
         recovery = RecoveryLog(event_log=events, metrics=metrics)
