@@ -131,11 +131,10 @@ class Database:
         self.plan_cache = PlanCache(plan_cache_size, metrics=self.metrics)
         self.shard_pool = ShardPool(self.catalog, metrics=self.metrics)
         self.feedback = self._make_feedback(feedback)
-        if self.feedback is not None:
-            self.catalog.attach_learned(self.feedback)
         self._executor = Executor(self.catalog, self.cost_model,
                                   self.config, metrics=self.metrics,
-                                  shard_pool=self.shard_pool)
+                                  shard_pool=self.shard_pool,
+                                  feedback=self.feedback)
         self._alias_executors = {}
 
     def _make_feedback(self, feedback):
@@ -239,6 +238,10 @@ class Database:
     def _executor_for(self, query):
         """Return the executor serving ``query``.
 
+        Every entry point -- plain, prepared, guarded, resumed, served
+        and recovered queries -- runs through this one executor (per
+        alias set), so they share its optimizer and plan builder.
+
         Queries with real table aliases (``FROM A a1, A a2``) get an
         executor over a derived catalog holding aliased copies of the
         base tables, so self-joins see distinct qualified column names.
@@ -258,10 +261,8 @@ class Database:
             base = query.aliases[alias]
             derived.register(self.catalog.table(base).aliased(alias))
         derived.analyze()
-        if self.feedback is not None:
-            derived.attach_learned(self.feedback)
         executor = Executor(derived, self.cost_model, self.config,
-                            metrics=self.metrics)
+                            metrics=self.metrics, feedback=self.feedback)
         self._alias_executors[key] = (version, executor)
         return executor
 
@@ -284,21 +285,52 @@ class Database:
         The cache key is ``(fingerprint, k, catalog version, learned
         epoch)`` -- the *base* catalog version even for aliased
         queries, since derived executors are themselves rebuilt
-        whenever the base version moves.  A ``None`` return means the
-        caller should optimize (and :meth:`_store_plan` the result)
-        itself; this path optimizes eagerly.
+        whenever the base version moves.  This path optimizes eagerly
+        on a miss; see :meth:`_cached_plan` for the lazy variant.
+        """
+        result, on_plan = self._cached_plan(executor, query, fingerprint)
+        if result is None:
+            result = executor.optimizer.optimize(query)
+            on_plan(result)
+        return result
+
+    def _cached_plan(self, executor, query, fingerprint=None,
+                     parallel=None):
+        """Plan-cache lookup for one run: ``(result, on_plan)``.
+
+        A hit returns the cached result.  A miss returns ``None`` and
+        the hook that caches the result the executor then optimizes --
+        so a traced miss optimizes *inside* the run's ``optimize`` span,
+        exactly as an uncached traced run does.
+
+        A forced ``parallel`` mode caches its rewritten plan under a
+        mode-augmented fingerprint, so forced and auto executions of
+        the same query shape never collide in the plan cache.
         """
         if fingerprint is None:
             fingerprint = query_fingerprint(query)
         version = self.catalog.version
         epoch = self._plan_epoch(query)
-        result = self.plan_cache.get(fingerprint, query.k, version,
-                                     epoch=epoch)
+        if parallel in (None, "auto"):
+            result = self.plan_cache.get(fingerprint, query.k, version,
+                                         epoch=epoch)
+            if result is not None:
+                return result, None
+
+            def on_plan(result):
+                self.plan_cache.put(fingerprint, query.k, version, result,
+                                    epoch=epoch)
+
+            return None, on_plan
+        key = (fingerprint, "parallel", parallel)
+        result = self.plan_cache.get(key, query.k, version, epoch=epoch)
         if result is None:
-            result = executor.optimizer.optimize(query)
-            self.plan_cache.put(fingerprint, query.k, version, result,
-                                epoch=epoch)
-        return result
+            base = self._cached_optimization(executor, query, fingerprint)
+            result = forced_parallel_result(
+                executor.catalog, self.cost_model, base, parallel,
+            )
+            self.plan_cache.put(key, query.k, version, result, epoch=epoch)
+        return result, None
 
     @staticmethod
     def _telemetry_for(trace, telemetry):
@@ -321,13 +353,18 @@ class Database:
         execution pays neither parse nor System-R enumeration.  ``k``
         is rebindable per execution (``prepared.execute(k=50)``).
         """
-        sql = None
+        sql = query if isinstance(query, str) else None
+        return PreparedQuery(self, self._as_query(query, "prepare"),
+                             sql=sql)
+
+    @staticmethod
+    def _as_query(query, entry):
+        """Parse SQL text; reject anything but a :class:`RankQuery`."""
         if isinstance(query, str):
-            sql = query
             query = parse_query(query)
         if not isinstance(query, RankQuery):
-            raise TypeError("prepare() takes SQL text or a RankQuery")
-        return PreparedQuery(self, query, sql=sql)
+            raise TypeError("%s() takes SQL text or a RankQuery" % (entry,))
+        return query
 
     def execute(self, query, budget=None, trace=False, telemetry=None,
                 batch_size=None, parallel=None, shards=None):
@@ -349,8 +386,8 @@ class Database:
 
         ``trace=True`` runs with full observability: the returned
         report's ``telemetry`` carries the span tree
-        (optimize -> open -> next -> close), per-operator metrics and
-        the optimizer/Propagate event log, and the report's
+        (optimize -> build -> open -> next -> close), per-operator
+        metrics and the optimizer/Propagate event log, and the report's
         ``explain()``/``analyze()`` grow per-operator timing columns.
         Pass an existing :class:`~repro.observability.Telemetry` as
         ``telemetry`` to aggregate several queries into one bundle.
@@ -365,10 +402,7 @@ class Database:
         expression, predicates and ``k``) against an unchanged catalog
         skip enumeration entirely.
         """
-        if isinstance(query, str):
-            query = parse_query(query)
-        if not isinstance(query, RankQuery):
-            raise TypeError("execute() takes SQL text or a RankQuery")
+        query = self._as_query(query, "execute")
         if shards is not None:
             self._ensure_partitionings(query, shards)
         return self._execute_fingerprinted(
@@ -376,62 +410,24 @@ class Database:
             telemetry=telemetry, batch_size=batch_size, parallel=parallel,
         )
 
-    def _execute_fingerprinted(self, query, fingerprint, budget=None,
-                               trace=False, telemetry=None,
-                               batch_size=None, parallel=None):
-        """Shared execution path for :meth:`execute` and prepared
-        queries: consult the plan cache, run, back-fill on a miss.
-
-        On a traced miss the optimizer runs *inside* the executor's
-        ``optimize`` span (so the span tree and enumeration events stay
-        exactly as an uncached traced run produces them) and the result
-        is cached from the report afterwards.
-
-        A forced ``parallel`` mode caches its rewritten plan under a
-        mode-augmented fingerprint, so forced and auto executions of
-        the same query shape never collide in the plan cache.
-        """
+    def _execute_fingerprinted(self, query, fingerprint, trace=False,
+                               telemetry=None, parallel=None, **drive):
+        """The one run path of :meth:`execute`, :meth:`execute_guarded`
+        and prepared queries: plan through the cache, then run on the
+        query's executor with the ``drive`` policies."""
         if parallel not in PARALLEL_MODES:
             raise ValueError(
                 "parallel must be one of %r, got %r"
                 % (PARALLEL_MODES[1:], parallel)
             )
         executor = self._executor_for(query)
-        telemetry = self._telemetry_for(trace, telemetry)
-        version = self.catalog.version
-        epoch = self._plan_epoch(query)
-        if parallel in (None, "auto"):
-            result = self.plan_cache.get(fingerprint, query.k, version,
-                                         epoch=epoch)
-            report = executor.run(
-                query, budget=budget, telemetry=telemetry, result=result,
-                batch_size=batch_size,
-            )
-            if result is None:
-                self.plan_cache.put(fingerprint, query.k, version,
-                                    report.optimization, epoch=epoch)
-            return self._observe(query, report, fingerprint)
-        key = (fingerprint, "parallel", parallel)
-        result = self.plan_cache.get(key, query.k, version, epoch=epoch)
-        if result is None:
-            base = self._cached_optimization(executor, query, fingerprint)
-            result = forced_parallel_result(
-                executor.catalog, self.cost_model, base, parallel,
-            )
-            self.plan_cache.put(key, query.k, version, result, epoch=epoch)
-        report = executor.run(
-            query, budget=budget, telemetry=telemetry, result=result,
-            batch_size=batch_size,
+        result, on_plan = self._cached_plan(executor, query, fingerprint,
+                                            parallel)
+        return executor.run(
+            query, result=result, on_plan=on_plan,
+            telemetry=self._telemetry_for(trace, telemetry),
+            fingerprint=fingerprint, **drive,
         )
-        return self._observe(query, report, fingerprint)
-
-    def _observe(self, query, report, fingerprint=None):
-        """Feed ``report`` into the feedback store; returns the report."""
-        if self.feedback is not None:
-            report.feedback = self.feedback.observe_report(
-                query, report, fingerprint=fingerprint,
-            )
-        return report
 
     def execute_guarded(self, query, budget=None, policy=None,
                         trace=False, telemetry=None, checkpoint=None,
@@ -439,10 +435,11 @@ class Database:
                         state_dir=None, query_id=None):
         """Run under the full robustness layer; returns the report.
 
-        Like :meth:`execute` but through a
-        :class:`~repro.robustness.recovery.GuardedExecutor`: resource
-        budgets are enforced *and* rank-join depth overruns trigger
-        adaptive recovery (mid-query selectivity re-estimation, then
+        Like :meth:`execute` (same plan cache and executor) but guarded
+        by a :class:`~repro.robustness.recovery.RecoveryPolicy`
+        (default one when ``policy`` is omitted): resource budgets are
+        enforced *and* rank-join depth overruns trigger adaptive
+        recovery (mid-query selectivity re-estimation, then
         continue-with-updated-budgets or fall back to the blocking
         sort plan).  ``report.recovery`` records the path taken;
         ``trace``/``telemetry`` behave as in :meth:`execute`, with
@@ -465,19 +462,9 @@ class Database:
         via :meth:`resume` with the same ``state_dir``.  A default
         checkpoint policy is supplied when ``checkpoint`` is omitted.
         """
-        from repro.robustness.recovery import GuardedExecutor
+        from repro.robustness.recovery import RecoveryPolicy
 
-        if isinstance(query, str):
-            query = parse_query(query)
-        if not isinstance(query, RankQuery):
-            raise TypeError(
-                "execute_guarded() takes SQL text or a RankQuery"
-            )
-        if parallel not in PARALLEL_MODES:
-            raise ValueError(
-                "parallel must be one of %r, got %r"
-                % (PARALLEL_MODES[1:], parallel)
-            )
+        query = self._as_query(query, "execute_guarded")
         if shards is not None:
             self._ensure_partitionings(query, shards)
         store = self._durable_store(state_dir)
@@ -485,17 +472,11 @@ class Database:
             from repro.robustness.checkpoint import CheckpointPolicy
 
             checkpoint = CheckpointPolicy()
-        base = self._executor_for(query)
-        guarded = GuardedExecutor(
-            base.catalog, self.cost_model, self.config,
-            budget=budget, policy=policy,
-            shard_pool=self.shard_pool if base is self._executor else None,
-            feedback=self.feedback,
-        )
-        return guarded.run(
-            query, telemetry=self._telemetry_for(trace, telemetry),
-            checkpoint=checkpoint, faults=faults, parallel=parallel,
-            store=store, query_id=query_id,
+        return self._execute_fingerprinted(
+            query, query_fingerprint(query), trace=trace,
+            telemetry=telemetry, parallel=parallel, budget=budget,
+            policy=policy or RecoveryPolicy(), checkpoint=checkpoint,
+            faults=faults, store=store, query_id=query_id,
         )
 
     def _durable_store(self, state_dir):
@@ -515,17 +496,16 @@ class Database:
         directory written by a previous (possibly killed) process; in
         the directory case ``query_id`` picks the query, defaulting to
         the directory's only one.  Returns a
-        :class:`~repro.robustness.checkpoint.SuspendedQuery` bound to a
-        fresh guarded executor over this database's catalog -- hand it
-        to :meth:`resume`.  Raises
+        :class:`~repro.robustness.checkpoint.SuspendedQuery` bound to
+        this database's executor and planned through its plan cache --
+        hand it to :meth:`resume`.  Raises
         :class:`~repro.common.errors.CheckpointCorruptionError` when
         the snapshot fails validation (the file is deleted first) and
         :class:`~repro.common.errors.ExecutionError` when no snapshot
         exists.
         """
         from repro.common.errors import ExecutionError
-        from repro.robustness.durability import CheckpointStore, rehydrate
-        from repro.robustness.recovery import GuardedExecutor
+        from repro.robustness.durability import CheckpointStore
 
         source = os.fspath(source) if hasattr(source, "__fspath__") \
             else source
@@ -547,15 +527,23 @@ class Database:
             store = CheckpointStore(os.path.dirname(source) or ".",
                                     metrics=self.metrics)
             payload = store.read_snapshot(source)
-        base = self._executor_for(payload["query"])
-        guarded = GuardedExecutor(
-            base.catalog, self.cost_model, self.config,
-            shard_pool=self.shard_pool if base is self._executor else None,
-            feedback=self.feedback,
-        )
-        suspended = rehydrate(payload, guarded)
+        suspended = self._rehydrate(payload)
         store.instruments.recovery("resumed")
         return suspended
+
+    def _rehydrate(self, payload):
+        """A durable snapshot payload as a suspension on this database.
+
+        The query is planned through the plan cache; the suspension
+        owns a private copy, since resuming it may re-estimate
+        selectivities on the plan.
+        """
+        from repro.robustness.durability import rehydrate
+
+        query = payload["query"]
+        executor = self._executor_for(query)
+        result = self._cached_optimization(executor, query)
+        return rehydrate(payload, executor, result.private_copy())
 
     def resume(self, suspended, budget=None, policy=None, trace=False,
                telemetry=None, checkpoint=None, state_dir=None,
@@ -568,10 +556,13 @@ class Database:
         path (a ``.ckpt`` file or a state directory, as written by an
         ``execute_guarded(state_dir=...)`` run in this or an earlier
         process), which is rehydrated via :meth:`load_suspended`
-        first.  Pass a fresh (larger) ``budget``; the resumed run
-        starts its accounting from zero and re-emits nothing -- the
-        returned report's rows extend exactly where the suspended run
-        stopped.
+        first.  Pass a fresh budget; the resumed run starts its
+        accounting from zero and re-emits nothing -- the returned
+        report's rows extend exactly where the suspended run stopped.
+        A suspension that broke inside an atomic ``open()`` restarts
+        the query with the pull grant grown 4x per such restart, so
+        repeating the same too-small budget still completes (see
+        :meth:`~repro.executor.executor.Executor.resume`).
 
         A durable resume degrades instead of failing: when the
         snapshot's checkpointed state no longer fits the re-optimized
@@ -584,65 +575,34 @@ class Database:
         checkpoints taken while draining the remainder are persisted
         there under ``query_id``.
 
-        When this database has a feedback store, the resuming executor
+        When this database has a feedback store, the resumed run
         reports into it as well -- instalment workloads (a server
         draining suspended queries across scheduler steps) learn from
         each instalment's observed statistics, not just from queries
         that ran to completion.
         """
-        from repro.common.errors import CheckpointError
-
         durable_source = None
         if isinstance(suspended, (str, bytes)) or hasattr(suspended,
                                                           "__fspath__"):
             durable_source = os.fspath(suspended)
             if not os.path.isdir(durable_source):
                 if query_id is None:
-                    match = _durable_snapshot_query_id(durable_source)
-                    query_id = match
+                    query_id = _durable_snapshot_query_id(durable_source)
                 durable_source = os.path.dirname(durable_source) or "."
             suspended = self.load_suspended(
                 os.fspath(suspended), query_id=query_id)
-        if (self.feedback is not None
-                and getattr(suspended.executor, "feedback", None) is None):
-            suspended.executor.feedback = self.feedback
         store = self._durable_store(state_dir
                                     if state_dir is not None
                                     else durable_source)
-        try:
-            return suspended.executor.resume(
-                suspended, budget=budget, policy=policy,
-                telemetry=self._telemetry_for(trace, telemetry),
-                checkpoint=checkpoint, store=store, query_id=query_id,
-            )
-        except CheckpointError:
-            if durable_source is None:
-                raise
-            # The durable snapshot no longer fits the re-optimized
-            # plan: discard it and restart from scratch rather than
-            # failing a recovery the caller cannot fix.
-            from repro.robustness.durability import default_query_id
-            from repro.robustness.recovery import RecoveryEvent
-
-            if store is not None:
-                store.discard(query_id
-                              or default_query_id(suspended.query))
-                store.instruments.recovery("restarted")
-            report = self.execute_guarded(
-                suspended.query, budget=budget, policy=policy,
-                trace=trace, telemetry=telemetry, checkpoint=checkpoint,
-                state_dir=store, query_id=query_id,
-            )
-            report.recovery.record(RecoveryEvent(
-                "restart", "durability", None, None, len(report.rows),
-                "durable snapshot unusable; restarted from scratch",
-            ))
-            return report
+        return suspended.executor.resume(
+            suspended, budget=budget, policy=policy,
+            telemetry=self._telemetry_for(trace, telemetry),
+            checkpoint=checkpoint, store=store, query_id=query_id,
+        )
 
     def explain(self, query):
         """Optimize only; returns the OptimizationResult."""
-        if isinstance(query, str):
-            query = parse_query(query)
+        query = self._as_query(query, "explain")
         return self._executor_for(query).optimizer.optimize(query)
 
     def optimizer(self):

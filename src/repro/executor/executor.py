@@ -8,7 +8,8 @@ depths and buffer sizes the Section 5 experiments read.
 
 from repro.optimizer.builder import PlanBuilder
 from repro.optimizer.enumerator import Optimizer
-from repro.optimizer.plans import RankJoinPlan, ScoreMergePlan
+from repro.observability.tracer import NULL_TRACER
+from repro.optimizer.plans import AnyKPlan, RankJoinPlan, ScoreMergePlan
 
 
 class OperatorSnapshot:
@@ -114,9 +115,14 @@ class ExecutionReport:
         return self.optimization.best_plan
 
     def rank_join_snapshots(self):
-        """Snapshots of the rank-join operators, outermost first."""
+        """Snapshots of the rank-join operators, outermost first.
+
+        Every operator built from a rank-join or any-k plan node counts
+        (HRJN, NRJN, J*, any-k, and per-shard rank joins), whatever its
+        name.
+        """
         return [snap for snap in self.operators
-                if snap.name.startswith(("HRJN", "NRJN"))]
+                if isinstance(snap.plan, (RankJoinPlan, AnyKPlan))]
 
     @property
     def timed(self):
@@ -243,77 +249,247 @@ class ExecutionReport:
 
 
 class Executor:
-    """Optimize-build-run pipeline over one catalog.
+    """One execution pipeline over one catalog: plan -> build -> drive
+    -> report.
+
+    Every entry point -- plain, prepared, guarded, resumed, scheduled
+    and recovered queries -- runs through :meth:`run` or
+    :meth:`resume`.  The drive stage attaches a policy for each
+    argument that is present: a ``budget`` guard, depth-overrun
+    recovery (``policy``), checkpoint/suspend (``checkpoint``),
+    durability (``store``) and, when the executor has one, the
+    ``feedback`` store.  Without a recovery policy the tree drains
+    through the uninterruptible :meth:`_drain`; with one, through the
+    recovering drain of
+    :class:`~repro.robustness.recovery.RecoveringDrive`.
 
     ``metrics`` optionally names a persistent
     :class:`~repro.observability.metrics.MetricsRegistry` (the serving
     database's registry) fed with batch-drain counters; per-run
-    telemetry stays separate and opt-in.
+    telemetry stays separate and opt-in.  ``budget`` and ``policy``
+    are the defaults a run falls back to when it passes none.
+    ``feedback`` attaches a :class:`~repro.feedback.store.FeedbackStore`:
+    every report is observed into it, and the catalog plans with its
+    learned statistics (the store becomes the catalog's overlay when
+    none is attached yet).
     """
 
     def __init__(self, catalog, cost_model, config=None, metrics=None,
-                 shard_pool=None):
+                 shard_pool=None, budget=None, policy=None, feedback=None):
         self.catalog = catalog
         self.optimizer = Optimizer(catalog, cost_model, config)
         self.builder = PlanBuilder(catalog, shard_pool=shard_pool)
         self.metrics = metrics
+        self.budget = budget
+        self.policy = policy
+        self.feedback = feedback
+        if feedback is not None and catalog.learned is None:
+            catalog.attach_learned(feedback)
 
     def run(self, query, budget=None, telemetry=None, result=None,
-            batch_size=None):
-        """Optimize ``query``, execute it, and return the report.
+            batch_size=None, policy=None, checkpoint=None, faults=None,
+            store=None, query_id=None, fingerprint=None, on_plan=None):
+        """Plan ``query``, execute it, and return the report.
 
-        With a :class:`~repro.robustness.budget.ResourceBudget` the
-        operator tree runs under an execution guard: breaching the
-        budget raises
-        :class:`~repro.common.errors.BudgetExceededError` carrying the
-        partial operator snapshots gathered so far.
-
-        With a :class:`~repro.observability.Telemetry` the run is
-        traced end to end: an ``execute`` span covering ``optimize`` ->
-        ``build`` -> ``open`` -> ``next`` -> ``close`` phases (with
-        per-operator spans nested), optimizer events/counters from the
-        MEMO, Propagate depth-assignment events, and per-operator
-        counters recorded after the drain.  The report's ``telemetry``
-        attribute carries the bundle.
-
-        ``result`` short-circuits plan choice with an already-computed
+        *Plan.*  ``result`` short-circuits plan choice with an
+        already-computed
         :class:`~repro.optimizer.enumerator.OptimizationResult` (the
         plan-cache hit path); the caller is responsible for its
-        freshness.  ``batch_size`` drains the root batch-at-a-time via
-        :meth:`~repro.operators.base.Operator.next_batch` instead of
-        row-at-a-time ``next()`` -- output is identical, Python call
-        overhead is amortised across each batch.
+        freshness.  Otherwise the optimizer runs and ``on_plan``, when
+        given, receives the result (the plan-cache fill).  A guarded run
+        re-estimates selectivities on the plan it runs, so it runs a
+        private copy of any plan it shares with a cache.
+
+        *Build.*  ``faults`` optionally injects a
+        :class:`~repro.robustness.faults.FaultPlan` into the built
+        tree -- the entry point for chaos testing.
+
+        *Drive.*  With a
+        :class:`~repro.robustness.budget.ResourceBudget` the tree runs
+        under an execution guard.  Without a ``policy`` a breach raises
+        :class:`~repro.common.errors.BudgetExceededError` carrying the
+        partial operator snapshots, and ``batch_size`` drains the root
+        batch-at-a-time via
+        :meth:`~repro.operators.base.Operator.next_batch` -- output is
+        identical, Python call overhead is amortised across each batch.
+        With a :class:`~repro.robustness.recovery.RecoveryPolicy` the
+        run recovers from rank-join depth overruns, and the report's
+        ``recovery`` records the path taken.  ``checkpoint`` (a
+        :class:`~repro.robustness.checkpoint.CheckpointPolicy` or an
+        ``int`` row cadence) then turns on state-preserving recovery:
+        transient faults restore the last checkpoint, a budget breach
+        yields ``report.suspension`` (resumable via :meth:`resume`)
+        instead of raising, and a fallback decision migrates the live
+        rank-join state.  ``store`` (a
+        :class:`~repro.robustness.durability.CheckpointStore`) makes
+        every such checkpoint durable under ``query_id`` (derived from
+        the query fingerprint when omitted).
+
+        *Report.*  With a :class:`~repro.observability.Telemetry` the
+        run is traced end to end: an ``execute`` (or
+        ``execute_guarded``) span covering ``optimize`` -> ``build`` ->
+        ``open`` -> ``next`` -> ``close`` phases (with per-operator
+        spans nested), optimizer events/counters from the MEMO,
+        Propagate depth-assignment events, recovery decisions, and
+        per-operator counters recorded after the drain.  The report's
+        ``telemetry`` attribute carries the bundle.  ``fingerprint``
+        (the query's, when the caller already has it) keys the feedback
+        observation.
         """
+        return self._execute(
+            query, result, budget, policy, telemetry, on_plan=on_plan,
+            fingerprint=fingerprint, batch_size=batch_size,
+            checkpoint=checkpoint, faults=faults, store=store,
+            query_id=query_id,
+        )
+
+    def resume(self, suspended, budget=None, policy=None, telemetry=None,
+               checkpoint=None, store=None, query_id=None):
+        """Continue a :class:`~repro.robustness.checkpoint.SuspendedQuery`.
+
+        The plan is rebuilt from the suspended optimization result
+        (operator names follow the plan's shape, so the rebuilt tree
+        matches the checkpoint exactly), the checkpoint is restored
+        into it, and the drain continues under a *fresh* guard with
+        ``budget`` (guard accounting restarts from zero).  The returned
+        report's rows include everything the suspended run already
+        delivered.  A resumed run is always guarded: ``policy`` and
+        ``checkpoint`` default to the executor's policy (or a default
+        :class:`~repro.robustness.recovery.RecoveryPolicy`) and the
+        suspension's checkpoint policy.
+
+        A *pre-open* suspension carries no checkpoint -- the breach
+        fired inside an atomic ``open()`` -- so the rebuilt tree starts
+        from scratch.  Each pre-open restart in a suspension chain
+        multiplies the resumed pull grant by
+        :data:`~repro.robustness.recovery.PRE_OPEN_ESCALATION`, so
+        resuming with the same too-small budget still clears the open.
+
+        A suspension rehydrated from a durable snapshot
+        (``suspended.durable``) whose state no longer fits the rebuilt
+        plan restarts from scratch instead of failing: its snapshots in
+        ``store`` are discarded and the report records the
+        ``"restarted"`` recovery path.
+        """
+        return self._execute(
+            suspended.query, suspended.result, budget, policy, telemetry,
+            suspended=suspended, checkpoint=checkpoint, store=store,
+            query_id=query_id,
+        )
+
+    def _execute(self, query, result, budget, policy, telemetry,
+                 suspended=None, **stages):
+        """Resolve the run defaults, then run the pipeline under the
+        root span (traced runs only)."""
+        if budget is None:
+            budget = self.budget
+        policy = policy or self.policy
+        guarded = policy is not None or suspended is not None
         if telemetry is None:
-            if result is None:
-                result = self.optimizer.optimize(query)
+            return self._pipeline(query, result, budget, policy, guarded,
+                                  None, suspended, **stages)
+        span = telemetry.tracer.begin(
+            "execute_guarded" if guarded else "execute",
+            tables=",".join(sorted(query.tables)),
+            k=query.k if query.is_ranking else None,
+        )
+        try:
+            return self._pipeline(query, result, budget, policy, guarded,
+                                  telemetry, suspended, **stages)
+        finally:
+            telemetry.tracer.end(span)
+
+    def _pipeline(self, query, result, budget, policy, guarded, telemetry,
+                  suspended, on_plan=None, fingerprint=None,
+                  batch_size=None, checkpoint=None, faults=None,
+                  store=None, query_id=None):
+        tracer = NULL_TRACER if telemetry is None else telemetry.tracer
+        metrics = None if telemetry is None else telemetry.metrics
+        # Plan.
+        shared = result is not None
+        if result is None:
+            with tracer.span("optimize"):
+                result = self.optimizer.optimize(query, telemetry=telemetry)
+            if on_plan is not None:
+                on_plan(result)
+                shared = True
+        elif telemetry is not None:
+            with tracer.span("optimize", cached=True):
+                pass  # Plan served from the cache: span records it.
+        if guarded and shared and suspended is None:
+            result = result.private_copy()
+        # Build.
+        with tracer.span("build"):
             root = self.builder.build_query(result)
-            rows = self._collect(root, budget, batch_size=batch_size)
-            operators = [OperatorSnapshot(op) for op in root.walk()]
-            if self.metrics is not None:
-                self._record_columnar(self.metrics, root)
-            return ExecutionReport(query, result, rows, operators)
-        tracer = telemetry.tracer
-        with tracer.span("execute", tables=",".join(sorted(query.tables)),
-                         k=query.k if query.is_ranking else None):
-            if result is None:
-                with tracer.span("optimize"):
-                    result = self.optimizer.optimize(
-                        query, telemetry=telemetry,
-                    )
-            else:
-                with tracer.span("optimize", cached=True):
-                    pass  # Plan served from the cache: span records it.
-            with tracer.span("build"):
-                root = self.builder.build_query(result)
+        if faults is not None:
+            from repro.robustness.faults import inject_faults
+
+            root = inject_faults(root, faults, metrics=metrics)
+        if telemetry is not None:
             self._record_propagate(telemetry, query, result)
             telemetry.instrument(root)
-            rows = self._collect(root, budget, telemetry, batch_size)
-        operators = [OperatorSnapshot(op) for op in root.walk()]
-        telemetry.record_operators(operators)
-        self._record_parallel(telemetry, root)
-        return ExecutionReport(query, result, rows, operators,
-                               telemetry=telemetry)
+        # Drive.
+        recovery = suspension = None
+        if not guarded:
+            rows = self._drain(root, batch_size, budget, tracer, metrics)
+            operators = [OperatorSnapshot(op) for op in root.walk()]
+        else:
+            from repro.robustness.recovery import RecoveringDrive
+
+            drive = RecoveringDrive(self, query, result, root, budget,
+                                    policy, telemetry, checkpoint, store,
+                                    query_id, suspended)
+            rows, operators, suspension = drive.run()
+            root, result, recovery = drive.root, drive.result, drive.recovery
+            self._record_shard_recoveries(root, recovery)
+        # Report.
+        if telemetry is not None:
+            telemetry.record_operators(operators)
+            self._record_parallel(telemetry, root)
+        elif self.metrics is not None:
+            self._record_columnar(self.metrics, root)
+        report = ExecutionReport(query, result, rows, operators,
+                                 recovery=recovery, telemetry=telemetry,
+                                 suspension=suspension)
+        if self.feedback is not None:
+            # Every path reports its observations in -- including
+            # suspended instalments, whose partial depths still carry
+            # selectivity evidence.
+            report.feedback = self.feedback.observe_report(
+                query, report, fingerprint=fingerprint)
+        return report
+
+    @staticmethod
+    def _record_shard_recoveries(root, recovery):
+        """Record which shard streams absorbed transient worker faults.
+
+        A :class:`~repro.executor.shard_pool.ShardStream` retries
+        failed pool tasks itself (the transient-fault retry policy
+        applied per shard); the merge above it never notices.  The
+        report still owes the operator a paper trail, so each recovered
+        shard lands in the recovery log as a ``shard_retry`` event --
+        which maps to the ``direct`` path, never escalating it.
+        """
+        from repro.executor.shard_pool import ShardStream
+        from repro.robustness.recovery import RecoveryEvent
+
+        for operator in root.walk():
+            if not isinstance(operator, ShardStream):
+                continue
+            if operator.retries:
+                recovery.record(RecoveryEvent(
+                    "shard_retry", operator.name, None, None,
+                    operator.stats.rows_out,
+                    "absorbed %d transient shard fault(s) over %d task(s)"
+                    % (operator.retries, operator.tasks),
+                ))
+            if operator.degraded:
+                recovery.record(RecoveryEvent(
+                    "shard_pool_degraded", operator.name, None, None,
+                    operator.stats.rows_out,
+                    "worker pool died (%d rebuild(s)); degraded to "
+                    "inline shard execution" % (operator.pool_rebuilds,),
+                ))
 
     @staticmethod
     def _record_columnar(metrics, root):
@@ -426,32 +602,40 @@ class Executor:
                 return _optimizer.optimize(_query)
         return ExecutionReport(query, result, rows, operators)
 
-    def _collect(self, root, budget, telemetry=None, batch_size=None):
-        """Drain ``root``, optionally under a budget guard and tracing."""
-        if budget is None and telemetry is None:
-            return self._drain(root, batch_size)
-        if budget is None:
-            return self._drain_traced(root, telemetry, batch_size)
-        from repro.robustness.budget import ExecutionGuard
+    def _drain(self, root, batch_size, budget=None, tracer=NULL_TRACER,
+               metrics=None):
+        """The uninterruptible drain: open, pull until exhausted, close.
 
-        guard = ExecutionGuard(budget).attach(root)
-        try:
+        Row- or batch-at-a-time; under a ``budget`` guard a breach
+        raises out of the drain.  Each lifecycle phase runs under its
+        executor span (no-ops untraced).
+        """
+        guard = None
+        if budget is not None:
+            from repro.robustness.budget import ExecutionGuard
+
+            guard = ExecutionGuard(budget, metrics=metrics).attach(root)
             guard.start()
-            if telemetry is None:
-                return self._drain(root, batch_size)
-            return self._drain_traced(root, telemetry, batch_size)
-        finally:
-            guard.detach()
-
-    def _drain(self, root, batch_size):
-        """Full open/next/close drain, row- or batch-at-a-time."""
-        if batch_size is None:
-            return list(root)
-        root.open()
         try:
-            return self._drain_batches(root, batch_size)
+            with tracer.span("open"):
+                root.open()
+            try:
+                if batch_size is not None:
+                    with tracer.span("next", batch_size=batch_size):
+                        return self._drain_batches(root, batch_size)
+                rows = []
+                with tracer.span("next"):
+                    while True:
+                        row = root.next()
+                        if row is None:
+                            return rows
+                        rows.append(row)
+            finally:
+                with tracer.span("close"):
+                    root.close()
         finally:
-            root.close()
+            if guard is not None:
+                guard.detach()
 
     def _drain_batches(self, root, batch_size):
         """Pull batches from an open ``root`` until a short batch."""
@@ -471,26 +655,4 @@ class Executor:
                 "executor_batch_rows_total",
                 "rows delivered through batch drains",
             ).inc(len(rows))
-        return rows
-
-    def _drain_traced(self, root, telemetry, batch_size=None):
-        """Run the open/next/close lifecycle under executor spans."""
-        tracer = telemetry.tracer
-        with tracer.span("open"):
-            root.open()
-        rows = []
-        attrs = {} if batch_size is None else {"batch_size": batch_size}
-        try:
-            with tracer.span("next", **attrs):
-                if batch_size is not None:
-                    rows = self._drain_batches(root, batch_size)
-                else:
-                    while True:
-                        row = root.next()
-                        if row is None:
-                            break
-                        rows.append(row)
-        finally:
-            with tracer.span("close"):
-                root.close()
         return rows

@@ -31,8 +31,8 @@ class PreparedQuery:
     change transparently re-optimizes.
 
     With an adaptive feedback store attached to the database, every
-    execution reports its observed statistics in (the shared
-    ``_execute_fingerprinted`` path does the observing) and the plan
+    execution reports its observed statistics in (the database's
+    executor does the observing) and the plan
     cache additionally keys on the query's learned epoch -- so a
     prepared query whose early executions exposed a selectivity
     mis-estimate transparently re-plans with the learned value on the

@@ -36,21 +36,36 @@ from repro.optimizer.plans import (
 )
 
 
+class _BuildState:
+    """What one build call remembers while it walks a plan.
+
+    Rank-join, any-k and score-merge names are numbered in the order
+    the walk visits them, starting at 1 per call, so a tree's names --
+    and its ``_score_<name>`` output columns -- depend only on the
+    plan's shape.  Rebuilding a plan of the same shape (checkpoint
+    resume, re-plan migration, a durable resume in a fresh process)
+    reproduces them exactly.  ``k`` is the target k of the query being
+    built; ScoreMergePlan nodes use it to resolve their execution
+    vehicle and per-shard budgets.  The state lives on the call, not on
+    the builder, so threads may build on one shared builder.
+    """
+
+    __slots__ = ("k", "_counter")
+
+    def __init__(self, k=None):
+        self.k = k
+        self._counter = itertools.count(1)
+
+    def name(self, prefix):
+        return "%s%d" % (prefix, next(self._counter))
+
+
 class PlanBuilder:
     """Builds operator trees from optimizer plans."""
 
     def __init__(self, catalog, shard_pool=None):
         self.catalog = catalog
         self.shard_pool = shard_pool
-        self._counter = itertools.count(1)
-        # Rank-join names memoised per plan node, so rebuilding the
-        # same plan (checkpoint resume into a fresh tree) reproduces
-        # identical operator names and score columns.  The plan node is
-        # kept as a strong reference so id() values cannot be reused.
-        self._names = {}
-        # Target k of the query being built; ScoreMergePlan nodes use
-        # it to resolve their execution vehicle and per-shard budgets.
-        self._k = None
 
     # ------------------------------------------------------------------
     def build_query(self, result):
@@ -60,59 +75,39 @@ class PlanBuilder:
         an explicit select list.
         """
         query = result.query
-        self._k = float(query.k) if query.is_ranking else None
-        root = self.build(result.best_plan)
+        root = self.build(result.best_plan,
+                          k=float(query.k) if query.is_ranking else None)
         if query.is_ranking:
             root = Limit(root, query.k)
         if query.select is not None:
             root = Project(root, query.select)
         return root
 
-    def adopt_rank_join_names(self, old_plan, new_plan):
-        """Memoise ``old_plan``'s rank-join names for ``new_plan``.
-
-        Covers rank joins, any-k nodes and score-merge groups.  A
-        mid-flight re-plan re-enumerates and gets *new* plan nodes, as
-        does a guarded run that copies a shared plan; building them
-        would draw fresh names -- and fresh ``_score_<name>`` output
-        columns, making post-migration rows differ from a serial
-        run's.  Walking both plan trees in
-        lockstep and copying the memoised names over keeps the rebuilt
-        tree's operator names and score columns identical wherever the
-        shapes match; where they diverge, the walk just stops (the
-        migration's compatibility check rejects such plans anyway).
-        """
-        if (type(old_plan) is type(new_plan)
-                and isinstance(old_plan,
-                               (RankJoinPlan, AnyKPlan, ScoreMergePlan))):
-            memo = self._names.get(id(old_plan))
-            if memo is not None:
-                self._names[id(new_plan)] = (new_plan, memo[1])
-        for old_child, new_child in zip(old_plan.children,
-                                        new_plan.children):
-            self.adopt_rank_join_names(old_child, new_child)
-
-    def build(self, plan):
+    def build(self, plan, k=None):
         """Build the operator tree for one plan node.
 
         Each built operator keeps a reference to its plan node
         (``operator.plan``) so EXPLAIN ANALYZE can pair estimated and
-        actual cardinalities after execution.
+        actual cardinalities after execution.  Operator names are
+        numbered per call (see :class:`_BuildState`).
         """
+        return self._build(plan, _BuildState(k))
+
+    def _build(self, plan, state):
         if isinstance(plan, AccessPlan):
             operator = self._build_access(plan)
         elif isinstance(plan, FilterPlan):
-            operator = self._build_filter(plan)
+            operator = self._build_filter(plan, state)
         elif isinstance(plan, SortPlan):
-            operator = self._build_sort(plan)
+            operator = self._build_sort(plan, state)
         elif isinstance(plan, RankJoinPlan):
-            operator = self._build_rank_join(plan)
+            operator = self._build_rank_join(plan, state)
         elif isinstance(plan, AnyKPlan):
-            operator = self._build_anyk(plan)
+            operator = self._build_anyk(plan, state)
         elif isinstance(plan, ScoreMergePlan):
-            operator = self._build_score_merge(plan)
+            operator = self._build_score_merge(plan, state)
         elif isinstance(plan, JoinPlan):
-            operator = self._build_join(plan)
+            operator = self._build_join(plan, state)
         else:
             raise OptimizerError("cannot build plan node %r" % (plan,))
         operator.plan = plan
@@ -131,8 +126,8 @@ class PlanBuilder:
         index = table.get_index(plan.index_name)
         return IndexScan(table, index)
 
-    def _build_filter(self, plan):
-        child = self.build(plan.children[0])
+    def _build_filter(self, plan, state):
+        child = self._build(plan.children[0], state)
         predicates = plan.predicates
 
         def accept(row, _predicates=predicates):
@@ -144,8 +139,8 @@ class PlanBuilder:
             predicates=predicates,
         )
 
-    def _build_sort(self, plan):
-        child = self.build(plan.children[0])
+    def _build_sort(self, plan, state):
+        child = self._build(plan.children[0], state)
         expression = plan.order.expression
         return Sort(
             child, expression.accessor(), descending=True,
@@ -178,9 +173,9 @@ class PlanBuilder:
 
         return make_key(left_columns), make_key(right_columns)
 
-    def _build_join(self, plan):
-        left = self.build(plan.children[0])
-        right = self.build(plan.children[1])
+    def _build_join(self, plan, state):
+        left = self._build(plan.children[0], state)
+        right = self._build(plan.children[1], state)
         left_key, right_key = self._join_keys(plan)
         if plan.method == "hash":
             return HashJoin(left, right, left_key, right_key)
@@ -194,9 +189,10 @@ class PlanBuilder:
             return HashJoin(left, right, left_key, right_key)
         raise OptimizerError("unknown join method %r" % (plan.method,))
 
-    def _build_rank_join(self, plan, name=None, output_score_column=None):
-        left = self.build(plan.children[0])
-        right = self.build(plan.children[1])
+    def _build_rank_join(self, plan, state, name=None,
+                         output_score_column=None):
+        left = self._build(plan.children[0], state)
+        right = self._build(plan.children[1], state)
         left_key, right_key = self._join_keys(plan)
         left_spec = ScoreSpec(
             plan.left_expression.accessor(),
@@ -207,15 +203,7 @@ class PlanBuilder:
             plan.right_expression.description(),
         )
         if name is None:
-            memo = self._names.get(id(plan))
-            if memo is None:
-                name = "%s%d" % (plan.operator.upper(),
-                                 next(self._counter))
-                self._names[id(plan)] = (plan, name)
-            else:
-                name = memo[1]
-        else:
-            self._names[id(plan)] = (plan, name)
+            name = state.name(plan.operator.upper())
         score_column = output_score_column or "_score_%s" % (name,)
         if plan.operator == "hrjn":
             return HRJN(
@@ -237,24 +225,17 @@ class PlanBuilder:
             output_score_column=score_column,
         )
 
-    def _build_anyk(self, plan):
+    def _build_anyk(self, plan, state):
         """Build the any-k DP operator for an :class:`AnyKPlan`.
 
-        Names are memoised per plan node like rank joins, so rebuilding
-        the same plan (checkpoint resume) reproduces identical operator
-        names and score columns.  Node scores are passed as ordered
-        weight lists, routing the operator's scoring through the
-        columnar ``compile_score_closure`` path.
+        Node scores are passed as ordered weight lists, routing the
+        operator's scoring through the columnar
+        ``compile_score_closure`` path.
         """
         from repro.operators.anyk import AnyK, AnyKNode
 
-        memo = self._names.get(id(plan))
-        if memo is None:
-            name = "ANYK%d" % (next(self._counter),)
-            self._names[id(plan)] = (plan, name)
-        else:
-            name = memo[1]
-        children = [self.build(child) for child in plan.children]
+        name = state.name("ANYK")
+        children = [self._build(child, state) for child in plan.children]
 
         def make_key(columns):
             if len(columns) == 1:
@@ -291,7 +272,7 @@ class PlanBuilder:
             self.shard_pool = ShardPool(self.catalog)
         return self.shard_pool
 
-    def _build_score_merge(self, plan):
+    def _build_score_merge(self, plan, state):
         """Build ScoreMerge over per-shard rank-join pipelines.
 
         One group name is drawn from the rank-join counter and shared:
@@ -299,14 +280,9 @@ class PlanBuilder:
         ``_score_<group>`` the serial rank join would have written, so
         parallel output rows are byte-identical to serial ones.
         """
-        memo = self._names.get(id(plan))
-        if memo is None:
-            group = "HRJN%d" % (next(self._counter),)
-            self._names[id(plan)] = (plan, group)
-        else:
-            group = memo[1]
+        group = state.name("HRJN")
         score_column = "_score_%s" % (group,)
-        k = self._k if self._k is not None else float(plan.cardinality
+        k = state.k if state.k is not None else float(plan.cardinality
                                                       or 1.0)
         mode = plan.resolved_mode(k)
         budgets = plan.child_budgets(k)
@@ -323,7 +299,7 @@ class PlanBuilder:
                 )
             else:
                 child = self._build_rank_join(
-                    child_plan, name="%s[s%d]" % (group, index),
+                    child_plan, state, name="%s[s%d]" % (group, index),
                     output_score_column=score_column,
                 )
             child.plan = child_plan

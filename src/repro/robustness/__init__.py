@@ -16,8 +16,8 @@ Three layers on top of the iterator executor:
   :class:`~repro.robustness.checkpoint.CheckpointPolicy`) and
   :class:`~repro.robustness.checkpoint.SuspendedQuery` handles for
   budget-paused queries;
-* :mod:`repro.robustness.recovery` -- the
-  :class:`~repro.robustness.recovery.GuardedExecutor`, which recovers
+* :mod:`repro.robustness.recovery` -- the guarded drive stage
+  (:class:`~repro.robustness.recovery.RecoveringDrive`), which recovers
   mid-query from rank-join depth mis-estimation by re-estimating
   selectivity from observed join hits and either continuing with
   updated budgets or falling back to the blocking sort plan (migrating

@@ -137,8 +137,7 @@ class CheckpointManager:
         ``robustness_resumes_total``.
     persist:
         Optional callable receiving every taken :class:`Checkpoint` --
-        the durability hook: the
-        :class:`~repro.robustness.recovery.GuardedExecutor` wires a
+        the durability hook: a guarded run wires a
         :class:`~repro.robustness.durability.CheckpointStore` write
         here so cadence/pressure/suspend checkpoints become crash-safe
         the moment they are taken.
@@ -208,7 +207,7 @@ class CheckpointManager:
         return (self.latest is not None
                 and self.resumes < self.policy.max_resumes)
 
-    def restore(self, root=None, kind=None, strict_names=True):
+    def restore(self, root=None, kind=None):
         """Restore the latest checkpoint; returns the delivered rows.
 
         With ``root`` the snapshot is loaded into that (freshly built)
@@ -219,19 +218,13 @@ class CheckpointManager:
         is the rows delivered up to the checkpoint -- the caller's row
         buffer must be reset to it, since anything delivered after the
         snapshot will be re-emitted.
-
-        ``strict_names=False`` restores into a tree built from a
-        *different* optimization result (mid-flight re-planning), where
-        the builder assigned fresh counter names; the caller is
-        responsible for checking structural plan equivalence first (see
-        :meth:`Operator.load_state_dict <repro.operators.base.Operator.load_state_dict>`).
         """
         if self.latest is None:
             raise CheckpointError("no checkpoint to restore")
         if kind is None:
             kind = "in_place" if root is None else "fresh_plan"
         target = root if root is not None else self.root
-        target.load_state_dict(self.latest.state, strict_names=strict_names)
+        target.load_state_dict(self.latest.state)
         if root is not None:
             self.root = root
         self.resumes += 1
@@ -264,7 +257,7 @@ class SuspendedQuery:
     executor checkpoints the tree and attaches one of these to the
     report (``report.suspension``).  Hand it to
     :meth:`~repro.executor.database.Database.resume` (or
-    ``GuardedExecutor.resume``) with a fresh budget to continue exactly
+    ``Executor.resume``) with a fresh budget to continue exactly
     where the query stopped.
 
     Attributes
@@ -279,9 +272,8 @@ class SuspendedQuery:
     reason:
         The budget-breach message.
     executor:
-        The :class:`~repro.robustness.recovery.GuardedExecutor` that
-        suspended the query; resuming reuses it (same catalog and plan
-        builder, so rebuilt operator names line up).
+        The :class:`~repro.executor.executor.Executor` that suspended
+        the query; resuming reuses it (same catalog and plan builder).
     policy:
         The :class:`CheckpointPolicy` in force when suspending (reused
         on resume unless overridden).
@@ -290,17 +282,26 @@ class SuspendedQuery:
         tree produced anything.  Some operators perform one atomic step
         on open (NRJN materialises its whole inner), so there is no
         consistent mid-open state to snapshot; the failed open unwinds
-        cleanly and a resume simply restarts the query under the new
-        budget.  No delivered row is lost (there were none), but no
-        work carries over either -- schedulers should grant a larger
-        instalment on resume so the atomic step eventually clears.
+        cleanly and a resume simply restarts the query.  No delivered
+        row is lost (there were none), but no work carries over either.
+    pre_open_restarts:
+        Pre-open suspensions so far in this query's suspension chain.
+        A resume grows its pull grant geometrically with this count
+        (see :data:`~repro.robustness.recovery.PRE_OPEN_ESCALATION`),
+        so the atomic step eventually clears even when every resume
+        passes the same too-small budget.
+    durable:
+        True when rehydrated from a durable snapshot: a checkpoint that
+        no longer fits the rebuilt plan then restarts the query from
+        scratch instead of failing the resume.
     """
 
     __slots__ = ("query", "result", "checkpoint", "reason", "executor",
-                 "policy", "pre_open")
+                 "policy", "pre_open", "pre_open_restarts", "durable")
 
     def __init__(self, query, result, checkpoint, reason, executor,
-                 policy=None, pre_open=False):
+                 policy=None, pre_open=False, pre_open_restarts=0,
+                 durable=False):
         self.query = query
         self.result = result
         self.checkpoint = checkpoint
@@ -308,6 +309,8 @@ class SuspendedQuery:
         self.executor = executor
         self.policy = policy
         self.pre_open = pre_open
+        self.pre_open_restarts = pre_open_restarts
+        self.durable = durable
 
     @property
     def rows_delivered(self):

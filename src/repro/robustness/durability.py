@@ -20,11 +20,10 @@ The payload is a pickled plain-container dict: the
 ``state_dict()`` trees are plain dicts/lists/Rows, so pickling them is
 safe and stable), the checkpoint policy, and suspension metadata.
 Optimization results and executors are deliberately *not* persisted --
-:func:`rehydrate` re-optimizes the query in the recovering process,
-which is deterministic for an unchanged catalog, and any structural
-mismatch surfaces as a
-:class:`~repro.common.errors.CheckpointError` that callers turn into a
-restart-from-scratch (recovery path ``"restarted"``).
+the recovering process re-plans the query (deterministic for an
+unchanged catalog) and :func:`rehydrate` pairs that plan with the
+checkpoint; a structural mismatch at resume restarts the query from
+scratch (recovery path ``"restarted"``).
 
 Writes are atomic and durable: the snapshot is written to a ``.tmp``
 sibling, flushed and fsynced, renamed over the final name, and the
@@ -236,13 +235,13 @@ class CheckpointStore:
     # Writing
     # ------------------------------------------------------------------
     def save_checkpoint(self, query_id, query, checkpoint, policy=None,
-                        sql=None, reason=None, pre_open=False):
+                        sql=None, reason=None, pre_open=False,
+                        pre_open_restarts=0):
         """Persist one :class:`Checkpoint` of ``query``; returns the path.
 
-        This is the cadence-persistence entry point the
-        :class:`~repro.robustness.recovery.GuardedExecutor` hooks into
-        the checkpoint manager: every in-memory checkpoint taken under
-        a wired store also becomes durable.
+        This is the cadence-persistence entry point a guarded run hooks
+        into its checkpoint manager: every in-memory checkpoint taken
+        under a wired store also becomes durable.
         """
         payload = {
             "format": FORMAT_VERSION,
@@ -252,6 +251,7 @@ class CheckpointStore:
             "reason": reason or (checkpoint.reason
                                  if checkpoint is not None else "suspend"),
             "pre_open": bool(pre_open),
+            "pre_open_restarts": pre_open_restarts,
             "policy": policy,
             "checkpoint": checkpoint,
         }
@@ -269,6 +269,7 @@ class CheckpointStore:
             query_id, suspended.query, suspended.checkpoint,
             policy=suspended.policy, sql=sql, reason=suspended.reason,
             pre_open=suspended.pre_open,
+            pre_open_restarts=suspended.pre_open_restarts,
         )
 
     def _write(self, query_id, payload):
@@ -417,29 +418,30 @@ class CheckpointStore:
         )
 
 
-def rehydrate(payload, executor):
+def rehydrate(payload, executor, result):
     """Rebuild a :class:`SuspendedQuery` from a snapshot payload.
 
-    ``executor`` must be a *fresh*
-    :class:`~repro.robustness.recovery.GuardedExecutor` over the same
-    catalog the snapshot was taken against: the query is re-optimized
-    (deterministic for an unchanged catalog, so the rebuilt plan's
-    operator names line up with the checkpointed state) and packaged
-    with the deserialized checkpoint.  The actual state restore happens
-    inside ``executor.resume``; a structural mismatch there raises
-    :class:`~repro.common.errors.CheckpointError`, which callers treat
-    as "snapshot unusable -- restart from scratch".
+    ``executor`` is the executor over the catalog the snapshot was
+    taken against, and ``result`` the payload query's optimization
+    result in this process (the caller plans it, through its plan cache
+    when it has one; planning is deterministic for an unchanged
+    catalog, and operator names follow the plan's shape, so the rebuilt
+    tree lines up with the checkpointed state).  The actual state
+    restore happens when the suspension is resumed; a structural
+    mismatch there restarts the query from scratch (recovery path
+    ``"restarted"``), since the suspension is marked ``durable``.
+    Snapshots written without a pre-open restart count read as 0.
     """
-    query = payload["query"]
-    result = executor.optimizer.optimize(query)
     checkpoint = payload.get("checkpoint")
     if checkpoint is not None and not isinstance(checkpoint, Checkpoint):
         raise CheckpointCorruptionError(
             "snapshot payload carries a %r where a Checkpoint was "
             "expected" % (type(checkpoint).__name__,), kind="payload")
     return SuspendedQuery(
-        query, result, checkpoint,
+        payload["query"], result, checkpoint,
         reason=payload.get("reason") or "recovered from durable snapshot",
         executor=executor, policy=payload.get("policy"),
         pre_open=bool(payload.get("pre_open")),
+        pre_open_restarts=payload.get("pre_open_restarts", 0),
+        durable=True,
     )

@@ -2,8 +2,10 @@
 
 The Propagate estimates that size a rank-join plan (Section 4) are only
 as good as the selectivity fed to them; ``bench_robustness.py`` shows
-estimated depths drift by ``sqrt`` of the selectivity error.  The
-:class:`GuardedExecutor` turns that weakness into a run-time contract:
+estimated depths drift by ``sqrt`` of the selectivity error.  A
+guarded run -- any executor run with a :class:`RecoveryPolicy`, driven
+by :class:`RecoveringDrive` -- turns that weakness into a run-time
+contract:
 
 1. before execution, every rank-join operator gets a *depth limit* --
    its Propagate estimate scaled by ``RecoveryPolicy.overrun_factor``;
@@ -37,20 +39,25 @@ from repro.common.errors import (
     OptimizerError,
     TransientFaultError,
 )
-from repro.executor.executor import ExecutionReport, Executor, OperatorSnapshot
+from repro.executor.executor import Executor, OperatorSnapshot
 from repro.operators.filters import Project
 from repro.operators.topk import Limit
 from repro.optimizer.plans import RankJoinPlan, ScoreMergePlan
-from repro.robustness.budget import ExecutionGuard
+from repro.robustness.budget import ExecutionGuard, ResourceBudget
 from repro.robustness.checkpoint import (
     CheckpointManager,
     CheckpointPolicy,
     SuspendedQuery,
 )
-from repro.robustness.faults import inject_faults
 
 #: Floor for re-estimated selectivities (zero would blow up the model).
 _MIN_SELECTIVITY = 1e-9
+
+#: Pull-grant multiplier per pre-open restart of a resumed query: an
+#: operator with an atomic open (NRJN inner materialisation) makes no
+#: progress within a too-small grant, so each restart grows it
+#: geometrically until the open clears instead of livelocking.
+PRE_OPEN_ESCALATION = 4
 
 
 class RecoveryPolicy:
@@ -227,87 +234,78 @@ class RecoveryLog:
 
 
 class GuardedExecutor(Executor):
-    """Executor with resource budgets and adaptive depth recovery.
+    """An :class:`~repro.executor.executor.Executor` whose runs are
+    always guarded.
 
-    Drop-in :class:`~repro.executor.executor.Executor` replacement;
-    :meth:`run` additionally enforces an optional
-    :class:`~repro.robustness.budget.ResourceBudget` and recovers from
-    rank-join depth overruns per the :class:`RecoveryPolicy`.  The
-    returned report's ``recovery`` attribute records the path taken.
-
-    ``feedback`` optionally attaches a
-    :class:`~repro.feedback.store.FeedbackStore`: every execution then
-    reports its observed statistics into the store, depth-overrun
-    selectivity re-estimates are learned instead of discarded, and --
-    with checkpointing active -- an overrun may re-plan mid-flight
-    (see :class:`RecoveryPolicy`).  The store is also attached to the
-    catalog as its learned-statistics overlay when none is attached
-    yet, so re-enumeration sees the corrections.
+    The constructor presets the run defaults -- a
+    :class:`RecoveryPolicy` (default one when omitted), an optional
+    :class:`~repro.robustness.budget.ResourceBudget` and an optional
+    :class:`~repro.feedback.store.FeedbackStore` -- so :meth:`run`
+    enforces the budget and recovers from rank-join depth overruns
+    without further arguments; the report's ``recovery`` attribute
+    records the path taken.  Planning, building and driving are the
+    one executor pipeline; see :class:`RecoveringDrive` for the
+    recovering drain.
     """
 
     def __init__(self, catalog, cost_model, config=None, budget=None,
                  policy=None, shard_pool=None, feedback=None):
         super().__init__(catalog, cost_model, config,
-                         shard_pool=shard_pool)
-        self.budget = budget
+                         shard_pool=shard_pool, budget=budget,
+                         policy=policy or RecoveryPolicy(),
+                         feedback=feedback)
+
+
+class RecoveringDrive:
+    """The drive stage of one guarded run.
+
+    Set up by :meth:`Executor.run <repro.executor.executor.Executor.run>`
+    and :meth:`~repro.executor.executor.Executor.resume` over a built
+    tree: an :class:`~repro.robustness.budget.ExecutionGuard` with
+    Propagate depth limits, an optional checkpoint manager (durable
+    when a ``store`` is wired), and the :class:`RecoveryLog`.  A
+    ``suspended`` query is restored into the tree first.  :meth:`run`
+    then drains under recovery.
+
+    ``root``, ``result`` and ``rows`` always name the tree actually
+    running, its plan, and the rows delivered so far: a mid-flight
+    re-plan migrates into a new tree, a checkpoint restore truncates
+    the rows.
+    """
+
+    def __init__(self, executor, query, result, root, budget, policy,
+                 telemetry, checkpoint=None, store=None, query_id=None,
+                 suspended=None):
+        self.executor = executor
+        self.optimizer = executor.optimizer
+        self.feedback = executor.feedback
+        self.query = query
+        self.result = result
+        self.root = root
         self.policy = policy or RecoveryPolicy()
-        self.feedback = feedback
-        if feedback is not None and catalog.learned is None:
-            catalog.attach_learned(feedback)
-
-    # ------------------------------------------------------------------
-    def run(self, query, budget=None, policy=None, telemetry=None,
-            checkpoint=None, faults=None, parallel=None, result=None,
-            store=None, query_id=None):
-        """Run ``query`` under budgets and depth recovery.
-
-        With a :class:`~repro.observability.Telemetry`, the run is
-        traced (an ``execute_guarded`` root span with optimizer,
-        per-operator and fallback spans nested) and every recovery
-        decision flows into the telemetry event log alongside the
-        optimizer's enumeration events.
-
-        ``checkpoint`` enables state-preserving recovery: pass a
-        :class:`~repro.robustness.checkpoint.CheckpointPolicy` or an
-        ``int`` shorthand (checkpoint every N delivered rows).  With
-        checkpointing active, a transient fault restores the last
-        checkpoint instead of failing, a budget breach yields
-        ``report.suspension`` (resumable via :meth:`resume`) instead of
-        raising, and a fallback decision migrates the live rank-join
-        state instead of rebuilding from scratch.  Without it behaviour
-        is exactly the PR 1 contract (breaches raise, fallbacks rerun).
-
-        ``faults`` optionally injects a
-        :class:`~repro.robustness.faults.FaultPlan` into the built
-        tree -- the executor-level entry point for chaos testing.
-
-        ``result`` optionally supplies an already-optimized
-        :class:`~repro.optimizer.enumerator.OptimizationResult` for the
-        query, skipping the optimizer call -- the serving layer plans
-        once at admission (possibly degraded under load) and executes
-        that exact plan across budget instalments.
-
-        ``store`` (a
-        :class:`~repro.robustness.durability.CheckpointStore`) makes
-        every checkpoint taken under this run durable: the manager's
-        persist hook writes each snapshot to disk under ``query_id``
-        (derived from the query fingerprint when omitted), so a
-        killed process can continue the query from its last durable
-        checkpoint.  Inert without a checkpoint policy.
-        """
-        if telemetry is None:
-            return self._run_guarded(query, budget, policy, None,
-                                     checkpoint, faults, parallel, result,
-                                     store=store, query_id=query_id)
-        span = telemetry.tracer.begin(
-            "execute_guarded", tables=",".join(sorted(query.tables)),
-        )
-        try:
-            return self._run_guarded(query, budget, policy, telemetry,
-                                     checkpoint, faults, parallel, result,
-                                     store=store, query_id=query_id)
-        finally:
-            telemetry.tracer.end(span)
+        self.telemetry = telemetry
+        metrics = telemetry.metrics if telemetry is not None else None
+        events = telemetry.events if telemetry is not None else None
+        self.recovery = RecoveryLog(event_log=events, metrics=metrics)
+        self.pre_open_restarts = 0
+        checkpoint = self._checkpoint_policy(checkpoint)
+        if suspended is not None:
+            self.pre_open_restarts = suspended.pre_open_restarts
+            budget = _escalated(budget, self.pre_open_restarts)
+            checkpoint = (checkpoint or suspended.policy
+                          or CheckpointPolicy())
+        self.guard = ExecutionGuard(budget, metrics=metrics).attach(root)
+        self._update_depth_limits()
+        self.manager = None
+        if checkpoint is not None:
+            self.manager = CheckpointManager(
+                root, checkpoint, guard=self.guard, events=events,
+                metrics=metrics, persist=self._durable_persist(store,
+                                                               query_id))
+        self.store = store
+        self.query_id = query_id
+        self.suspended = suspended
+        self.rows = []
 
     @staticmethod
     def _checkpoint_policy(checkpoint):
@@ -318,120 +316,128 @@ class GuardedExecutor(Executor):
             return checkpoint
         return CheckpointPolicy(every_rows=int(checkpoint))
 
-    @staticmethod
-    def _durable_persist(store, query_id, query, policy):
+    def _durable_persist(self, store, query_id):
         """The manager persist hook writing checkpoints to ``store``."""
         if store is None:
             return None
         if query_id is None:
             from repro.robustness.durability import default_query_id
 
-            query_id = default_query_id(query)
+            query_id = default_query_id(self.query)
 
         def persist(checkpoint, pre_open=False):
-            store.save_checkpoint(query_id, query, checkpoint,
-                                  policy=policy, pre_open=pre_open)
+            store.save_checkpoint(
+                query_id, self.query, checkpoint,
+                policy=self.manager.policy, pre_open=pre_open,
+                pre_open_restarts=self.pre_open_restarts)
 
         return persist
 
-    def _run_guarded(self, query, budget, policy, telemetry,
-                     checkpoint=None, faults=None, parallel=None,
-                     result=None, store=None, query_id=None):
-        policy = policy or self.policy
-        if budget is None:
-            budget = self.budget
-        shared = result is not None
-        if result is None:
-            if telemetry is not None:
-                with telemetry.tracer.span("optimize"):
-                    result = self.optimizer.optimize(query,
-                                                     telemetry=telemetry)
-            else:
-                result = self.optimizer.optimize(query)
-        if parallel not in (None, "auto"):
-            from repro.executor.database import forced_parallel_result
+    # ------------------------------------------------------------------
+    def run(self):
+        """Drain under recovery; returns ``(rows, operators, suspension)``.
 
-            result = forced_parallel_result(
-                self.catalog, self.optimizer.model, result, parallel,
-            )
-        if shared:
-            # Recovery re-estimates selectivities on the plan nodes it
-            # runs; a handed-in result is shared with the plan cache, so
-            # the run (and any suspension of it) owns a copy.  Names the
-            # builder already drew for the shared plan carry over.
-            owned = result.private_copy()
-            self.builder.adopt_rank_join_names(result.best_plan,
-                                               owned.best_plan)
-            result = owned
-        metrics = telemetry.metrics if telemetry is not None else None
-        events = telemetry.events if telemetry is not None else None
-        recovery = RecoveryLog(event_log=events, metrics=metrics)
-        root = self.builder.build_query(result)
-        if faults is not None:
-            root = inject_faults(root, faults, metrics=metrics)
-        if telemetry is not None:
-            Executor._record_propagate(telemetry, query, result)
-            telemetry.instrument(root)
-        guard = ExecutionGuard(budget, metrics=metrics).attach(root)
-        self._install_depth_limits(guard, root, result, policy)
-        manager = None
-        checkpoint_policy = self._checkpoint_policy(checkpoint)
-        if checkpoint_policy is not None:
-            manager = CheckpointManager(
-                root, checkpoint_policy, guard=guard, events=events,
-                metrics=metrics,
-                persist=self._durable_persist(store, query_id, query,
-                                              checkpoint_policy))
-        rows = []
-        ctx = {"root": root, "result": result}
-        guard.start()
-        try:
-            suspension = self._drain_guarded(
-                query, ctx, guard, policy, recovery, manager,
-                rows, opened=False, telemetry=telemetry,
-            )
-        finally:
-            ctx["root"].close()
-            guard.detach()
-        report = self._finish(query, ctx["result"], ctx["root"], guard,
-                              recovery, manager, telemetry, rows,
-                              suspension)
-        self._retire_durable(store, query_id, query, report)
-        return report
-
-    @staticmethod
-    def _retire_durable(store, query_id, query, report):
-        """Completed runs retire their durable snapshots.
-
-        Once the query has delivered its full result there is nothing
-        left to recover, and a stale snapshot lingering in the state
-        directory would wrongly re-run the query on the next resume
-        over it.  Suspended runs keep theirs -- that snapshot *is* the
-        recovery state.
+        Runs the from-scratch sort fallback when recovery chose it,
+        fills the recovery log's run totals, and retires the query's
+        durable snapshots once it completes.
         """
-        if store is None or report.suspension is not None:
-            return
+        guard = self.guard
+        try:
+            if self.suspended is not None:
+                self._restore(self.suspended)
+            guard.start()
+            suspension = self._drain_guarded()
+        finally:
+            self.root.close()
+            guard.detach()
+        recovery = self.recovery
+        if recovery.path == "fallback":
+            rows, operators = self._run_fallback()
+        else:
+            rows = self.rows
+            operators = [OperatorSnapshot(op) for op in self.root.walk()]
+        recovery.stats["pulled_total"] = guard.total_pulled
+        if self.manager is not None:
+            recovery.stats["checkpoints"] = self.manager.checkpoints_taken
+            recovery.stats["resumes"] = self.manager.resumes
+        if self.store is not None and suspension is None:
+            # Nothing is left to recover once the query delivered its
+            # full result, and a stale snapshot would wrongly re-run it
+            # on the next resume.  Suspended runs keep theirs: that
+            # snapshot *is* the recovery state.
+            self._discard_durable()
+        return rows, operators, suspension
+
+    def _discard_durable(self):
         from repro.robustness.durability import default_query_id
 
-        store.discard(query_id or default_query_id(query))
+        self.store.discard(self.query_id or default_query_id(self.query))
 
-    def _drain_guarded(self, query, ctx, guard, policy, recovery,
-                       manager, rows, opened, telemetry=None):
+    def _restore(self, suspended):
+        """Restore a suspension's checkpoint into the fresh tree.
+
+        A pre-open suspension has nothing to restore: the tree starts
+        from scratch.  A durable checkpoint that no longer fits the
+        rebuilt plan (the catalog changed underneath it) is discarded
+        and the query restarts from scratch in a freshly built tree.
+        """
+        if suspended.checkpoint is None:
+            self.recovery.record(RecoveryEvent(
+                "resume", self.root.name, None, None, 0,
+                "restarting pre-open suspension (was: %s)"
+                % (suspended.reason,),
+            ))
+            self.manager.counters.resume("pre_open_restart")
+            return
+        self.manager.adopt(suspended.checkpoint)
+        try:
+            self.rows = self.manager.restore(root=self.root,
+                                             kind="suspended")
+        except CheckpointError:
+            if not suspended.durable:
+                raise
+            if self.store is not None:
+                self._discard_durable()
+                self.store.instruments.recovery("restarted")
+            self.manager.latest = None
+            self._swap_root(self.executor.builder.build_query(self.result),
+                            self.result)
+            self.recovery.record(RecoveryEvent(
+                "restart", "durability", None, None, 0,
+                "durable snapshot unusable; restarted from scratch",
+            ))
+            return
+        self.recovery.record(RecoveryEvent(
+            "resume", self.root.name, None, None, len(self.rows),
+            "resumed suspended query (was: %s)" % (suspended.reason,),
+        ))
+
+    def _swap_root(self, new_root, result):
+        """Run ``new_root`` (built from ``result``) from here on."""
+        self.guard.detach()
+        if self.telemetry is not None:
+            self.telemetry.instrument(new_root)
+        self.guard.attach(new_root)
+        self.guard.depth_limits.clear()
+        self.root, self.result = new_root, result
+        if self.manager is not None:
+            self.manager.root = new_root
+        self._update_depth_limits()
+
+    def _drain_guarded(self):
         """Drain the tree under recovery; returns a suspension or None.
 
-        ``ctx`` is a ``{"root": ..., "result": ...}`` dict the drain
-        may *rewrite* when a mid-flight re-plan migrates execution into
-        a new tree -- the caller closes ``ctx["root"]`` and builds the
-        report from ``ctx["result"]``, so both always name the tree
-        actually running.  ``rows`` is mutated in place (a checkpoint
-        restore truncates it back to the snapshot).  The caller owns
+        Delivered rows accumulate in ``self.rows``.  The caller owns
         close/detach.
         """
+        guard, manager = self.guard, self.manager
+        recovery, rows = self.recovery, self.rows
         reestimates = 0
         replans = 0
         migrated = False
+        opened = self.root._opened
         while True:
-            root = ctx["root"]
+            root = self.root
             try:
                 # An overrun can fire while *opening* (e.g. an operator
                 # materialising input up front); a failed open unwinds
@@ -441,10 +447,8 @@ class GuardedExecutor(Executor):
                     opened = True
                 row = root.next()
             except DepthOverrunError as overrun:
-                if self._replan_eligible(policy, manager, replans, opened):
-                    if self._try_replan(query, ctx, guard, policy,
-                                        recovery, manager, rows, overrun,
-                                        telemetry):
+                if self._replan_eligible(replans, opened):
+                    if self._try_replan(overrun):
                         replans += 1
                         continue
                 allow_migrate = (
@@ -452,10 +456,8 @@ class GuardedExecutor(Executor):
                     and manager.policy.migrate_on_fallback
                     and not migrated
                 )
-                decision = self._recover(
-                    guard, ctx["result"], overrun, policy,
-                    reestimates, len(rows), recovery, allow_migrate,
-                )
+                decision = self._recover(overrun, reestimates, len(rows),
+                                         allow_migrate)
                 if decision == "migrate":
                     # The live tree keeps every tuple it consumed; with
                     # depth limits lifted, draining it to completion is
@@ -472,8 +474,7 @@ class GuardedExecutor(Executor):
                 if manager is None or not manager.can_resume():
                     raise
                 pulled_at = guard.total_pulled
-                restored = manager.restore()
-                rows[:] = restored
+                rows[:] = manager.restore()
                 recovery.stats["pulled_at_resume"] = pulled_at
                 recovery.record(RecoveryEvent(
                     "resume", root.name, None, None, len(rows),
@@ -485,214 +486,106 @@ class GuardedExecutor(Executor):
             except BudgetExceededError as breach:
                 if manager is None or not manager.policy.suspend_on_budget:
                     raise
-                if not opened:
-                    # The breach fired inside open() -- an operator
-                    # performing one atomic step up front (NRJN
-                    # materialises its whole inner there).  The failed
-                    # open unwound the tree, but operator *stats* kept
-                    # the aborted open's pulls, so a state snapshot now
-                    # would be inconsistent and a restore would
-                    # double-count depth accounting.  Suspend without a
-                    # checkpoint: resuming restarts the query under the
-                    # new (larger) budget.
-                    recovery.record(RecoveryEvent(
-                        "suspend", root.name, None, None, 0,
-                        "%s (pre-open: no state to checkpoint)"
-                        % (breach,),
-                    ))
-                    if manager.persist is not None:
-                        # No checkpoint exists, but the suspension must
-                        # still survive a crash: persist a pre-open
-                        # snapshot that restarts the query on recovery.
-                        manager.persist(None, pre_open=True)
-                    return SuspendedQuery(
-                        query, ctx["result"], None, reason=str(breach),
-                        executor=self, policy=manager.policy,
-                        pre_open=True,
-                    )
-                # Breaches are raised before the offending pull, so the
-                # tree is consistent right now: checkpoint it and hand
-                # back a resumable handle instead of losing the work.
-                taken = manager.checkpoint(rows, reason="suspend")
-                recovery.record(RecoveryEvent(
-                    "suspend", root.name, None, None, len(rows),
-                    str(breach),
-                ))
-                return SuspendedQuery(
-                    query, ctx["result"], taken, reason=str(breach),
-                    executor=self, policy=manager.policy,
-                )
+                return self._suspend(breach, opened)
             if row is None:
                 return None
             rows.append(row)
             if manager is not None:
                 manager.maybe_checkpoint(rows)
 
-    def _finish(self, query, result, root, guard, recovery, manager,
-                telemetry, rows, suspension):
-        """Build the report (running the from-scratch fallback if due)."""
-        self._record_shard_recoveries(root, recovery)
-        if recovery.path == "fallback":
-            rows, operators = self._run_fallback(query, result, guard,
-                                                 telemetry)
-        else:
-            operators = [OperatorSnapshot(op) for op in root.walk()]
-        recovery.stats["pulled_total"] = guard.total_pulled
-        if manager is not None:
-            recovery.stats["checkpoints"] = manager.checkpoints_taken
-            recovery.stats["resumes"] = manager.resumes
-        if telemetry is not None:
-            telemetry.record_operators(operators)
-        report = ExecutionReport(query, result, rows, operators,
-                                 recovery=recovery, telemetry=telemetry,
-                                 suspension=suspension)
-        if self.feedback is not None:
-            # Guarded, server, and resumed instalment runs all land
-            # here, so every path reports its observations in --
-            # including suspended queries, whose partial depths still
-            # carry selectivity evidence.
-            report.feedback = self.feedback.observe_report(query, report)
-        return report
-
-    @staticmethod
-    def _record_shard_recoveries(root, recovery):
-        """Record which shard streams absorbed transient worker faults.
-
-        A :class:`~repro.executor.shard_pool.ShardStream` retries
-        failed pool tasks itself (the PR 1 transient-fault policy
-        applied per shard); the merge above it never notices.  The
-        report still owes the operator a paper trail, so each recovered
-        shard lands in the recovery log as a ``shard_retry`` event --
-        which maps to the ``direct`` path, never escalating it.
-        """
-        from repro.executor.shard_pool import ShardStream
-
-        for operator in root.walk():
-            if not isinstance(operator, ShardStream):
-                continue
-            if operator.retries:
-                recovery.record(RecoveryEvent(
-                    "shard_retry", operator.name, None, None,
-                    operator.stats.rows_out,
-                    "absorbed %d transient shard fault(s) over %d task(s)"
-                    % (operator.retries, operator.tasks),
-                ))
-            if operator.degraded:
-                recovery.record(RecoveryEvent(
-                    "shard_pool_degraded", operator.name, None, None,
-                    operator.stats.rows_out,
-                    "worker pool died (%d rebuild(s)); degraded to "
-                    "inline shard execution" % (operator.pool_rebuilds,),
-                ))
-
-    def resume(self, suspended, budget=None, policy=None, telemetry=None,
-               checkpoint=None, store=None, query_id=None):
-        """Continue a :class:`SuspendedQuery` from its checkpoint.
-
-        The plan is rebuilt from the suspended optimization result (the
-        builder memoises operator names per plan node, so the rebuilt
-        tree matches the checkpoint exactly), the checkpoint is
-        restored into it, and the drain continues under a *fresh* guard
-        with ``budget`` (pass a larger one; guard accounting restarts
-        from zero).  The returned report's rows include everything the
-        suspended run already delivered.
-
-        A *pre-open* suspension (``suspended.pre_open``) carries no
-        checkpoint -- the breach fired inside an atomic ``open()`` --
-        so the rebuilt tree simply starts from scratch under the new
-        budget.
-        """
-        policy = policy or self.policy
-        if budget is None:
-            budget = self.budget
-        query, result = suspended.query, suspended.result
-        metrics = telemetry.metrics if telemetry is not None else None
-        events = telemetry.events if telemetry is not None else None
-        recovery = RecoveryLog(event_log=events, metrics=metrics)
-        root = self.builder.build_query(result)
-        if telemetry is not None:
-            telemetry.instrument(root)
-        guard = ExecutionGuard(budget, metrics=metrics).attach(root)
-        self._install_depth_limits(guard, root, result, policy)
-        checkpoint_policy = (self._checkpoint_policy(checkpoint)
-                             or suspended.policy or CheckpointPolicy())
-        manager = CheckpointManager(
-            root, checkpoint_policy, guard=guard, events=events,
-            metrics=metrics,
-            persist=self._durable_persist(store, query_id, query,
-                                          checkpoint_policy))
-        if suspended.checkpoint is None:
-            rows = []
-            recovery.record(RecoveryEvent(
-                "resume", root.name, None, None, 0,
-                "restarting pre-open suspension (was: %s)"
-                % (suspended.reason,),
+    def _suspend(self, breach, opened):
+        """Turn a budget breach into a :class:`SuspendedQuery`."""
+        manager = self.manager
+        if not opened:
+            # The breach fired inside open() -- an operator performing
+            # one atomic step up front (NRJN materialises its whole
+            # inner there).  The failed open unwound the tree, but
+            # operator *stats* kept the aborted open's pulls, so a state
+            # snapshot now would be inconsistent and a restore would
+            # double-count depth accounting.  Suspend without a
+            # checkpoint: resuming restarts the query under a grown
+            # budget.
+            self.pre_open_restarts += 1
+            self.recovery.record(RecoveryEvent(
+                "suspend", self.root.name, None, None, 0,
+                "%s (pre-open: no state to checkpoint)" % (breach,),
             ))
-            manager.counters.resume("pre_open_restart")
+            if manager.persist is not None:
+                # No checkpoint exists, but the suspension must still
+                # survive a crash: persist a pre-open snapshot that
+                # restarts the query on recovery.
+                manager.persist(None, pre_open=True)
+            taken = None
         else:
-            manager.adopt(suspended.checkpoint)
-            rows = manager.restore(root=root, kind="suspended")
-            recovery.record(RecoveryEvent(
-                "resume", root.name, None, None, len(rows),
-                "resumed suspended query (was: %s)" % (suspended.reason,),
+            # Breaches are raised before the offending pull, so the
+            # tree is consistent right now: checkpoint it and hand back
+            # a resumable handle instead of losing the work.
+            taken = manager.checkpoint(self.rows, reason="suspend")
+            self.recovery.record(RecoveryEvent(
+                "suspend", self.root.name, None, None, len(self.rows),
+                str(breach),
             ))
-        ctx = {"root": root, "result": result}
-        guard.start()
-        try:
-            suspension = self._drain_guarded(
-                query, ctx, guard, policy, recovery, manager,
-                rows, opened=root._opened, telemetry=telemetry,
-            )
-        finally:
-            ctx["root"].close()
-            guard.detach()
-        report = self._finish(query, ctx["result"], ctx["root"], guard,
-                              recovery, manager, telemetry, rows,
-                              suspension)
-        self._retire_durable(store, query_id, query, report)
-        return report
+        return SuspendedQuery(
+            self.query, self.result, taken, reason=str(breach),
+            executor=self.executor, policy=manager.policy,
+            pre_open=not opened,
+            pre_open_restarts=self.pre_open_restarts,
+        )
 
     # ------------------------------------------------------------------
     # Depth limits from Algorithm Propagate
     # ------------------------------------------------------------------
-    def _query_k(self, result):
-        query = result.query
-        if query.is_ranking:
-            return float(query.k)
-        return max(1.0, result.best_plan.cardinality)
+    def _query_k(self):
+        if self.query.is_ranking:
+            return float(self.query.k)
+        return max(1.0, self.result.best_plan.cardinality)
 
-    def _propagated_limits(self, result):
+    def _propagated_limits(self):
         """``{id(plan): (d_left, d_right)}`` for every rank-join node."""
-        plan = result.best_plan
+        plan = self.result.best_plan
         if not isinstance(plan, (RankJoinPlan, ScoreMergePlan)):
             return {}
         limits = {}
         for node, _required, estimate in plan.propagate_depths(
-                self._query_k(result)):
+                self._query_k()):
             if estimate is not None:
                 limits[id(node)] = (estimate.d_left, estimate.d_right)
         return limits
 
-    def _install_depth_limits(self, guard, root, result, policy):
+    def _update_depth_limits(self):
+        """Propagate and (re)install every guarded operator's limits.
+
+        Each limit is the operator's estimated depth scaled by the
+        policy, floored at the depth already pulled plus headroom, so a
+        limit that re-estimation would *shrink* cannot trip again on
+        the very next pull.  NRJN rescans its inner in full regardless
+        of k (it is materialised on open): only its ranked outer depth
+        is model-bounded.
+        """
+        policy = self.policy
         if not policy.monitor_depths:
             return
-        estimates = self._propagated_limits(result)
+        estimates = self._propagated_limits()
         if not estimates:
             return
-        for operator in root.walk():
-            if operator.plan is not None and id(operator.plan) in estimates:
-                d_left, d_right = estimates[id(operator.plan)]
-                # NRJN rescans its inner in full regardless of k (it is
-                # materialised on open): only the ranked outer depth is
-                # model-bounded.
-                right_limit = (None if self._full_inner(operator.plan)
-                               else self._scaled(d_right, policy))
-                guard.set_depth_limit(operator, (
-                    self._scaled(d_left, policy), right_limit,
-                ))
+        for operator in self.root.walk():
+            if operator.plan is None:
+                continue
+            estimate = estimates.get(id(operator.plan))
+            if estimate is None:
+                continue
+            limits = []
+            for child_index, depth in enumerate(estimate):
+                if child_index == 1 and self._full_inner(operator.plan):
+                    limits.append(None)
+                    continue
+                floor = (operator.stats.pulled[child_index]
+                         + policy.min_headroom)
+                limits.append(max(self._scaled(depth), floor))
+            self.guard.set_depth_limit(operator, limits)
 
-    @staticmethod
-    def _scaled(depth, policy):
+    def _scaled(self, depth):
+        policy = self.policy
         return int(math.ceil(depth * policy.overrun_factor)) \
             + policy.min_headroom
 
@@ -704,22 +597,21 @@ class GuardedExecutor(Executor):
     # ------------------------------------------------------------------
     # Mid-flight re-planning
     # ------------------------------------------------------------------
-    def _replan_eligible(self, policy, manager, replans, opened):
+    def _replan_eligible(self, replans, opened):
         """Cheap gate before attempting a mid-flight re-plan."""
         return (self.feedback is not None
-                and policy.replan
-                and replans < policy.max_replans
-                and manager is not None
+                and self.policy.replan
+                and replans < self.policy.max_replans
+                and self.manager is not None
                 and opened)
 
-    def _try_replan(self, query, ctx, guard, policy, recovery, manager,
-                    rows, overrun, telemetry=None):
+    def _try_replan(self, overrun):
         """Re-optimize with learned stats and migrate the live state.
 
         On success the running tree's full checkpointed state -- every
         consumed prefix, hash table, candidate queue, and threshold --
         is restored into a tree built from the *re-enumerated* plan,
-        ``ctx`` is rewritten to the new root/result, and the guard's
+        which becomes the running ``root``/``result``, and the guard's
         depth limits are re-derived from the corrected estimates.
         Returns True exactly then.
 
@@ -747,43 +639,33 @@ class GuardedExecutor(Executor):
                                         source="replan", force=True):
             return False
         plan.selectivity = min(1.0, observed)
-        k = self._query_k(ctx["result"])
-        remaining = ctx["result"].best_plan.cost(k)
+        remaining = self.result.best_plan.cost(self._query_k())
         if remaining < self.optimizer.model.replan_overhead(
-                len(query.tables)):
+                len(self.query.tables)):
             self.feedback.note_replan("declined")
             return False
-        manager.checkpoint(rows, reason="replan")
-        new_result = self.optimizer.optimize(query)
-        # Reuse the live tree's operator names (and so score columns)
-        # wherever the re-enumerated plan matches the running one --
-        # post-migration rows must be byte-identical to a serial run's.
-        self.builder.adopt_rank_join_names(
-            ctx["result"].best_plan, new_result.best_plan)
-        new_root = self.builder.build_query(new_result)
-        old_root = ctx["root"]
-        if not self._trees_compatible(old_root, new_root):
+        manager = self.manager
+        manager.checkpoint(self.rows, reason="replan")
+        new_result = self.optimizer.optimize(self.query)
+        # Names follow the plan's shape, so wherever the re-enumerated
+        # plan matches the running one its operator names (and score
+        # columns) match too -- post-migration rows stay byte-identical
+        # to a serial run's.
+        new_root = self.executor.builder.build_query(new_result)
+        if not self._trees_compatible(self.root, new_root):
             self.feedback.note_replan("incompatible")
             return False
         try:
-            restored = manager.restore(root=new_root, kind="replan",
-                                       strict_names=False)
+            restored = manager.restore(root=new_root, kind="replan")
         except CheckpointError:
             self.feedback.note_replan("incompatible")
             return False
-        guard.detach()
-        old_root.close()
-        if telemetry is not None:
-            telemetry.instrument(new_root)
-        guard.attach(new_root)
-        guard.depth_limits.clear()
-        self._update_depth_limits(guard, new_result, policy)
-        rows[:] = restored
-        ctx["root"] = new_root
-        ctx["result"] = new_result
+        self.root.close()
+        self._swap_root(new_root, new_result)
+        self.rows[:] = restored
         self.feedback.note_replan("migrated")
-        recovery.record(RecoveryEvent(
-            "replan", operator.name, observed, assumed, len(rows),
+        self.recovery.record(RecoveryEvent(
+            "replan", operator.name, observed, assumed, len(self.rows),
             "re-enumerated with learned stats; live state migrated",
         ))
         return True
@@ -824,7 +706,8 @@ class GuardedExecutor(Executor):
     # ------------------------------------------------------------------
     # Mid-query recovery
     # ------------------------------------------------------------------
-    def _observed_selectivity(self, operator):
+    @staticmethod
+    def _observed_selectivity(operator):
         observe = getattr(operator, "observed_selectivity", None)
         if observe is not None:
             observed = observe()
@@ -837,8 +720,8 @@ class GuardedExecutor(Executor):
             return None
         return max(observed, _MIN_SELECTIVITY)
 
-    def _recover(self, guard, result, overrun, policy, reestimates,
-                 rows_emitted, recovery, allow_migrate=False):
+    def _recover(self, overrun, reestimates, rows_emitted,
+                 allow_migrate=False):
         """Handle one depth overrun.
 
         Returns ``"continue"`` (re-estimated limits installed),
@@ -860,106 +743,79 @@ class GuardedExecutor(Executor):
         if (observed is None or plan is None
                 or not isinstance(plan, RankJoinPlan)):
             # Nothing to re-estimate from: treat as a fallback trigger.
-            return self._fall_back(recovery, overrun, observed or 0.0,
-                                   assumed, rows_emitted,
+            return self._fall_back(overrun, observed or 0.0, assumed,
+                                   rows_emitted,
                                    "no observation to re-estimate from",
                                    allow_migrate)
-        if reestimates >= policy.max_reestimates:
-            if self._can_fall_back(result):
-                return self._fall_back(recovery, overrun, observed,
-                                       assumed, rows_emitted,
+        if reestimates >= self.policy.max_reestimates:
+            if self._can_fall_back():
+                return self._fall_back(overrun, observed, assumed,
+                                       rows_emitted,
                                        "re-estimate budget exhausted",
                                        allow_migrate)
             # No blocking alternative retained: the rank-join plan is
             # all there is, so widen its limits and press on.
             plan.selectivity = min(1.0, observed)
-            self._update_depth_limits(guard, result, policy)
+            self._update_depth_limits()
             return "continue"
         # Replace the wrong estimate with the observed evidence, then
         # re-run Algorithm Propagate over the whole plan.
         plan.selectivity = min(1.0, observed)
-        k = self._query_k(result)
-        rank_cost = result.best_plan.cost(k)
+        k = self._query_k()
+        rank_cost = self.result.best_plan.cost(k)
         fallback_cost = None
         try:
-            fallback_cost = self.optimizer.fallback_plan(result).cost(k)
+            fallback_cost = self.optimizer.fallback_plan(
+                self.result).cost(k)
         except OptimizerError:
             pass  # No blocking alternative retained: must continue.
         if fallback_cost is not None and rank_cost > fallback_cost:
             return self._fall_back(
-                recovery, overrun, observed, assumed, rows_emitted,
+                overrun, observed, assumed, rows_emitted,
                 "re-costed rank join %.1f > sort plan %.1f"
                 % (rank_cost, fallback_cost), allow_migrate)
-        self._update_depth_limits(guard, result, policy)
-        recovery.record(RecoveryEvent(
+        self._update_depth_limits()
+        self.recovery.record(RecoveryEvent(
             "reestimate", operator.name, observed, assumed, rows_emitted,
             "continuing with re-propagated depth limits",
         ))
         return "continue"
 
-    def _can_fall_back(self, result):
+    def _can_fall_back(self):
         try:
-            self.optimizer.fallback_plan(result)
+            self.optimizer.fallback_plan(self.result)
         except OptimizerError:
             return False
         return True
 
-    def _fall_back(self, recovery, overrun, observed, assumed,
-                   rows_emitted, detail, allow_migrate=False):
+    def _fall_back(self, overrun, observed, assumed, rows_emitted, detail,
+                   allow_migrate=False):
         if allow_migrate:
-            recovery.record(RecoveryEvent(
+            self.recovery.record(RecoveryEvent(
                 "migrate", overrun.operator.name, observed, assumed,
                 rows_emitted,
                 detail + "; migrating live rank-join state",
             ))
             return "migrate"
-        recovery.record(RecoveryEvent(
+        self.recovery.record(RecoveryEvent(
             "fallback", overrun.operator.name, observed, assumed,
             rows_emitted, detail,
         ))
         return "fallback"
 
-    def _update_depth_limits(self, guard, result, policy):
-        """Re-propagate and raise every guarded operator's limits.
-
-        New limits are floored at the depth already pulled plus
-        headroom, so a limit that re-estimation would *shrink* cannot
-        trip again on the very next pull.
-        """
-        estimates = self._propagated_limits(result)
-        if self._root_of(guard) is None:
-            return
-        for operator in self._root_of(guard).walk():
-            if operator.plan is None:
-                continue
-            estimate = estimates.get(id(operator.plan))
-            if estimate is None:
-                continue
-            limits = []
-            for child_index, depth in enumerate(estimate):
-                if child_index == 1 and self._full_inner(operator.plan):
-                    limits.append(None)
-                    continue
-                floor = (operator.stats.pulled[child_index]
-                         + policy.min_headroom)
-                limits.append(max(self._scaled(depth, policy), floor))
-            guard.set_depth_limit(operator, limits)
-
-    @staticmethod
-    def _root_of(guard):
-        return guard._root
-
     # ------------------------------------------------------------------
     # Sort-plan fallback
     # ------------------------------------------------------------------
-    def _run_fallback(self, query, result, guard, telemetry=None):
+    def _run_fallback(self):
         """Execute the blocking sort alternative under the same guard.
 
         The guard keeps its clock and pull counters, so the fallback
         still answers to the original deadline and pull budget.
+        Returns ``(rows, operators)``.
         """
-        fallback = self.optimizer.fallback_plan(result)
-        root = self.builder.build(fallback)
+        query, guard, telemetry = self.query, self.guard, self.telemetry
+        root = self.executor.builder.build(
+            self.optimizer.fallback_plan(self.result))
         if query.is_ranking:
             root = Limit(root, query.k)
         if query.select is not None:
@@ -978,3 +834,15 @@ class GuardedExecutor(Executor):
             guard.detach()
         operators = [OperatorSnapshot(op) for op in root.walk()]
         return rows, operators
+
+
+def _escalated(budget, pre_open_restarts):
+    """``budget`` with its pull grant grown for a pre-open restart chain."""
+    if budget is None or budget.max_pulls is None or not pre_open_restarts:
+        return budget
+    return ResourceBudget(
+        max_pulls=budget.max_pulls
+        * PRE_OPEN_ESCALATION ** pre_open_restarts,
+        max_buffer=budget.max_buffer,
+        deadline_seconds=budget.deadline_seconds,
+    )

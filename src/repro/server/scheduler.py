@@ -26,14 +26,10 @@ every unfinished query suspended at a resumable checkpoint.
 import asyncio
 import time
 
-from repro.common.errors import (
-    CheckpointError,
-    ExecutionError,
-    TransientFaultError,
-)
+from repro.common.errors import ExecutionError, TransientFaultError
 from repro.robustness.budget import ResourceBudget, TenantBudget
 from repro.robustness.checkpoint import CheckpointPolicy
-from repro.robustness.recovery import GuardedExecutor, RecoveryEvent
+from repro.robustness.recovery import RecoveryEvent, RecoveryPolicy
 from repro.server.admission import INTERACTIVE
 from repro.server.session import (
     CANCELLED,
@@ -52,13 +48,9 @@ class SchedulerConfig:
     ----------
     instalment_pulls:
         Pull budget per instalment.  Smaller values preempt more often
-        (better interactive latency, more checkpoint overhead).
-    escalation_factor:
-        Multiplier applied to the next instalment after a *pre-open*
-        suspension: an operator with an atomic open (NRJN inner
-        materialisation) makes no progress within a too-small
-        instalment, so the grant grows geometrically until the open
-        clears instead of livelocking.
+        (better interactive latency, more checkpoint overhead).  A
+        resumed instalment after a *pre-open* suspension gets a grown
+        grant (see :meth:`~repro.executor.executor.Executor.resume`).
     max_retries:
         Transient-failure retries per query before it fails.
     retry_backoff:
@@ -70,14 +62,11 @@ class SchedulerConfig:
         with pressure-triggered checkpoints).
     """
 
-    def __init__(self, instalment_pulls=2000, escalation_factor=4.0,
-                 max_retries=2, retry_backoff=0.01, checkpoint=None):
+    def __init__(self, instalment_pulls=2000, max_retries=2,
+                 retry_backoff=0.01, checkpoint=None):
         if instalment_pulls < 1:
             raise ExecutionError("instalment_pulls must be >= 1")
-        if escalation_factor < 1.0:
-            raise ExecutionError("escalation_factor must be >= 1.0")
         self.instalment_pulls = instalment_pulls
-        self.escalation_factor = escalation_factor
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         self.checkpoint = checkpoint or CheckpointPolicy()
@@ -90,33 +79,29 @@ class SchedulerConfig:
 class _Job:
     """Scheduler-internal state for one admitted query."""
 
-    __slots__ = ("session", "decision", "executor", "faults", "sequence",
+    __slots__ = ("session", "decision", "faults", "sequence",
                  "deadline_at", "submitted_at", "suspension",
-                 "rows_streamed", "pre_open_restarts", "attempts",
-                 "retries", "last_report", "first_run_at", "query_id",
-                 "durable_resume", "restarted")
+                 "rows_streamed", "attempts", "retries", "last_report",
+                 "first_run_at", "query_id", "restarted")
 
-    def __init__(self, session, decision, executor, faults, sequence,
-                 deadline_at, submitted_at, query_id=None):
+    def __init__(self, session, decision, faults, sequence, deadline_at,
+                 submitted_at, query_id=None):
         self.session = session
         self.decision = decision
-        self.executor = executor
         self.faults = faults
         self.sequence = sequence
         self.deadline_at = deadline_at
         self.submitted_at = submitted_at
         self.suspension = None
         self.rows_streamed = 0
-        self.pre_open_restarts = 0
         self.attempts = 0
         self.retries = 0
         self.last_report = None
         self.first_run_at = None
         self.query_id = query_id
-        #: True while the pending resume restores a *durable* snapshot
-        #: (recovered from disk) -- a structural mismatch then restarts
-        #: the query instead of failing it.
-        self.durable_resume = False
+        #: True when the query restarted from scratch (no usable
+        #: durable state) and the final report still owes the
+        #: ``restart`` recovery event.
         self.restarted = False
 
     @property
@@ -135,8 +120,8 @@ class InstalmentScheduler:
     ----------
     database:
         The :class:`~repro.executor.database.Database` executed
-        against (its catalog, cost model and shard pool are shared by
-        every job's :class:`GuardedExecutor`).
+        against: every instalment runs guarded on the database's own
+        executor for the query.
     config:
         A :class:`SchedulerConfig` (defaults apply when ``None``).
     instruments:
@@ -247,27 +232,14 @@ class InstalmentScheduler:
             raise ExecutionError("scheduler is not running")
         if self._draining:
             raise ExecutionError("scheduler is draining")
-        if resume_from is not None:
-            executor = resume_from.executor
-        else:
-            base = self.database._executor_for(decision.query)
-            executor = GuardedExecutor(
-                base.catalog, self.database.cost_model,
-                self.database.config,
-                shard_pool=(self.database.shard_pool
-                            if base is self.database._executor else None),
-                feedback=getattr(self.database, "feedback", None),
-            )
         now = self.clock()
         self._sequence += 1
         job = _Job(
-            session, decision, executor, faults, self._sequence,
+            session, decision, faults, self._sequence,
             deadline_at=(now + deadline if deadline is not None else None),
             submitted_at=now, query_id=query_id,
         )
-        if resume_from is not None:
-            job.suspension = resume_from
-            job.durable_resume = True
+        job.suspension = resume_from
         self.tenant(job.tenant).queries += 1
         self._ready.append(job)
         self._publish_depth()
@@ -306,13 +278,6 @@ class InstalmentScheduler:
         self._ready.remove(best)
         return best
 
-    def _instalment_budget(self, job, remaining):
-        pulls = int(self.config.instalment_pulls
-                    * self.config.escalation_factor
-                    ** job.pre_open_restarts)
-        return ResourceBudget(max_pulls=pulls,
-                              deadline_seconds=remaining)
-
     async def _run_instalment(self, job):
         session = job.session
         now = self.clock()
@@ -334,7 +299,8 @@ class InstalmentScheduler:
             self.instruments.wait_time(job.queue_class, wait)
         session.state = RUNNING
         self._current = job
-        budget = self._instalment_budget(job, remaining)
+        budget = ResourceBudget(max_pulls=self.config.instalment_pulls,
+                                deadline_seconds=remaining)
         job.attempts += 1
         session.stats["instalments"] += 1
         self.instruments.instalment(job.tenant)
@@ -370,34 +336,22 @@ class InstalmentScheduler:
     def _execute_instalment(self, job, budget):
         """One instalment, in a worker thread (engine code only).
 
-        A durable resume whose checkpointed state no longer fits the
-        freshly optimized plan (catalog drift across the restart, or a
-        snapshot surviving only partially) degrades to a from-scratch
-        rerun in the same instalment -- the ``"restarted"`` recovery
-        path -- rather than failing the recovered query.
+        The first instalment runs the admitted plan guarded on the
+        database's executor; later ones resume the suspension.  A
+        durable resume whose checkpointed state no longer fits the plan
+        restarts the query inside the same instalment (the resume's
+        ``"restarted"`` path) rather than failing the recovered query.
         """
         if job.suspension is not None:
-            try:
-                report = job.executor.resume(
-                    job.suspension, budget=budget,
-                    checkpoint=self.config.checkpoint,
-                    store=self.store, query_id=job.query_id,
-                )
-            except CheckpointError:
-                if not job.durable_resume:
-                    raise
-                job.suspension = None
-                job.durable_resume = False
-                job.restarted = True
-                if self.store is not None and job.query_id is not None:
-                    self.store.discard(job.query_id)
-                    self.store.instruments.recovery("restarted")
-            else:
-                job.durable_resume = False
-                return report
-        return job.executor.run(
-            job.decision.query, result=job.decision.result,
-            budget=budget, checkpoint=self.config.checkpoint,
+            return job.suspension.executor.resume(
+                job.suspension, budget=budget,
+                checkpoint=self.config.checkpoint,
+                store=self.store, query_id=job.query_id,
+            )
+        query = job.decision.query
+        return self.database._executor_for(query).run(
+            query, result=job.decision.result, budget=budget,
+            policy=RecoveryPolicy(), checkpoint=self.config.checkpoint,
             faults=(job.faults if job.attempts == 1 else None),
             store=self.store, query_id=job.query_id,
         )
@@ -408,8 +362,10 @@ class InstalmentScheduler:
     def _suspend(self, job, report):
         suspension = report.suspension
         job.suspension = suspension
-        if suspension.pre_open:
-            job.pre_open_restarts += 1
+        if any(event.kind == "restart" for event in report.recovery.events):
+            # The instalment restarted from scratch and then suspended:
+            # the report that completes the query owes the event.
+            job.restarted = True
         if self.store is not None and job.query_id is not None:
             # Suspensions become durable at the instalment boundary:
             # a crash between instalments recovers from exactly here.

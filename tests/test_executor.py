@@ -4,6 +4,9 @@ import pytest
 
 from repro.common.rng import make_rng
 from repro.executor.database import Database
+from repro.optimizer.enumerator import OptimizerConfig
+
+from tests.test_anyk_equivalence import make_multiway_db, multiway_query
 
 
 def make_db(rows=200, seed=3, domain=15):
@@ -91,6 +94,21 @@ class TestReports:
             # of the pulled tuple.
             assert all(s.depth == max(s.pulled) for s in snaps)
             assert all(s.depth > 0 for s in snaps)
+
+    @pytest.mark.parametrize("config, kinds", [
+        (dict(enable_hrjn=False, enable_nrjn=False, enable_jstar=True),
+         ["JSTAR2", "JSTAR1"]),
+        (dict(enable_hrjn=False, enable_nrjn=False, enable_anyk=True),
+         ["ANYK1"]),
+    ])
+    def test_rank_join_snapshots_cover_jstar_and_anyk(self, config, kinds):
+        """Selection is by plan node type, not by operator name."""
+        db = make_multiway_db(OptimizerConfig(**config))
+        report = db.execute(multiway_query(
+            "ABC", [("A.c2", "B.c2"), ("B.c3", "C.c3")]))
+        snaps = report.rank_join_snapshots()
+        assert [snap.name for snap in snaps] == kinds
+        assert all(snap.depth > 0 for snap in snaps)
 
     def test_explain_string(self):
         report = make_db().execute(Q1_STYLE)

@@ -100,8 +100,6 @@ class TestConfigValidation:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ExecutionError):
             SchedulerConfig(instalment_pulls=0)
-        with pytest.raises(ExecutionError):
-            SchedulerConfig(escalation_factor=0.5)
 
     def test_submit_requires_started_server(self):
         db = hrjn_db()
@@ -487,8 +485,7 @@ class TestSuspendResumeEquivalence:
         # atomic open clears instead of livelocking.
         db = make_db(config=OptimizerConfig(enable_hrjn=False))
         serial = db.execute(SQL).rows
-        config = SchedulerConfig(instalment_pulls=120,
-                                 escalation_factor=4.0)
+        config = SchedulerConfig(instalment_pulls=120)
 
         async def main():
             async with Server(db, scheduler=config) as server:
